@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from . import families, formulas, recursion, verify
 from .monomials import Monomial, MonomialIdeal, variable
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
-                     LatticeCapError, graded_betti)
+                     LatticeCapError, check_prime, graded_betti)
 from .verify import FamilyCase, route_totals
 
 
@@ -448,7 +448,7 @@ def _cmd_table(args) -> int:
         ideal = evaluate(node, ambient)
         if ideal.is_zero() or ideal.is_unit():
             raise ParseError("the zero and unit ideals have no Betti table")
-        table = graded_betti(ideal, args.char, args.lattice_cap, args.threads)
+        table = graded_betti(ideal, args.char, args.lattice_cap)
     else:
         case = classify_family(node, ambient)
         route = "closed" if args.route == "formula" else "recursion"
@@ -475,7 +475,7 @@ def _cmd_pd(args) -> int:
         ideal = evaluate(node, ambient)
         if ideal.is_zero() or ideal.is_unit():
             raise ParseError("pd of the zero/unit ideal is not defined here")
-        print(graded_betti(ideal, args.char, args.lattice_cap, args.threads).pd())
+        print(graded_betti(ideal, args.char, args.lattice_cap).pd())
         return 0
     case = classify_family(node, ambient)
     if case is None:
@@ -515,15 +515,15 @@ def _cmd_split(args) -> int:
         raise ParseError("not a decomposition: the first ideal must equal "
                          "the sum of the other two")
     report = verify.check_splitting(
-        total, left, right, args.char, args.lattice_cap, args.threads,
+        total, left, right, args.char, args.lattice_cap,
         label=f"split {args.total!r} = {args.left!r} + {args.right!r}")
     print(report.to_json())
     return 0 if report.ok else 1
 
 
 def _cmd_verify(args) -> int:
-    opt = {"strict_delta": args.strict_delta, "threads": args.threads,
-           "cap": args.lattice_cap, "seed": args.seed}
+    opt = {"strict_delta": args.strict_delta, "cap": args.lattice_cap,
+           "seed": args.seed}
     try:
         if args.suite.endswith(".json"):
             with open(args.suite) as handle:
@@ -539,16 +539,27 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _characteristic(text: str) -> int:
+    """argparse type of --char: a prime the oracle can certify."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    try:
+        check_prime(p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return p
+
+
 def _add_common(parser, char=True):
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism bound for oracle work (default 1)")
     parser.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
     parser.add_argument("--strict-delta", action="store_true",
                         help="use the closed-form corner-chain multiset "
                              "(over-counts at s=0; for demonstration)")
     if char:
-        parser.add_argument("--char", type=int, default=DEFAULT_PRIME,
+        parser.add_argument("--char", type=_characteristic, default=DEFAULT_PRIME,
                             help=f"prime field characteristic (default {DEFAULT_PRIME})")
 
 

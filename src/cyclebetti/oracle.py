@@ -8,8 +8,8 @@ over a prime field, and accumulate into a graded table.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,21 +18,47 @@ from .monomials import Monomial, MonomialIdeal
 
 DEFAULT_PRIME = 32003
 DEFAULT_LATTICE_CAP = 200_000
+# Miller-Rabin with the prime bases 2..41 is exact below this bound
+# (Sorenson and Webster 2015); larger characteristics are refused.
+PRIME_CHECK_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 class LatticeCapError(RuntimeError):
     """lcm lattice grew past the configured cap; fail loudly, never degrade."""
 
 
+@lru_cache(maxsize=64)
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin; ValueError at or above PRIME_CHECK_BOUND."""
+    if p >= PRIME_CHECK_BOUND:
+        raise ValueError(f"characteristic {p} is too large to certify as prime "
+                         f"(limit {PRIME_CHECK_BOUND})")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime the oracle can use as characteristic."""
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[int, ...]]:
@@ -78,21 +104,58 @@ class SimplicialComplex:
         return {d: len(fs) for d, fs in self.faces.items()}
 
 
-def _koszul_faces(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
-    support = [v for v, e in enumerate(bexp) if e > 0]
-    b_arr = np.asarray(bexp, dtype=np.int64)
-    faces: dict[int, list[tuple[int, ...]]] = {}
+@lru_cache(maxsize=64)
+def _face_layout(support: tuple[int, ...]):
+    """Every subset of `support` as a bitmask over its positions, ordered by
+    size and then as `combinations` yields them, with the size boundaries and
+    the subsets themselves as vertex tuples in the same order."""
+    masks, bounds, subsets = [], [0], []
     for size in range(len(support) + 1):
-        level = []
-        for subset in combinations(support, size):
-            q = b_arr.copy()
-            for v in subset:
-                q[v] -= 1
-            if bool((gen_rows <= q).all(axis=1).any()):
-                level.append(subset)
+        for positions in combinations(range(len(support)), size):
+            masks.append(sum(1 << i for i in positions))
+            subsets.append(tuple(support[i] for i in positions))
+        bounds.append(len(masks))
+    return np.array(masks, dtype=np.int64), bounds, subsets
+
+
+def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
+    """Upper Koszul complex at bexp of the ideal generated by gen_rows.
+
+    A subset F of supp(b) is a face when b - e_F is divisible by some
+    generator g, that is when g | b and F lies in the facet
+    {v in supp(b) : g_v < b_v}.  The facets are scattered into a table
+    indexed by bitmask and closed downward one vertex at a time.
+    """
+    b_arr = np.asarray(bexp, dtype=np.int64)
+    support = tuple(v for v, e in enumerate(bexp) if e > 0)
+    k = len(support)
+    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
+    if not len(rows):
+        return SimplicialComplex(support, {})
+    columns = list(support)
+    strict = rows[:, columns] < b_arr[columns]
+    is_face = np.zeros(1 << k, dtype=bool)
+    is_face[strict @ (1 << np.arange(k, dtype=np.int64))] = True
+    cube = is_face.reshape((2,) * k)
+    for axis in range(k):
+        lower = (slice(None),) * axis + (0,)
+        upper = (slice(None),) * axis + (1,)
+        cube[lower] |= cube[upper]
+    masks, bounds, subsets = _face_layout(support)
+    hits = np.flatnonzero(is_face[masks])
+    cuts = np.searchsorted(hits, bounds).tolist()
+    hits = hits.tolist()
+    faces: dict[int, list[tuple[int, ...]]] = {}
+    for size in range(k + 1):
+        level = hits[cuts[size]:cuts[size + 1]]
         if level:
-            faces[size - 1] = level
-    return faces
+            faces[size - 1] = [subsets[j] for j in level]
+    return SimplicialComplex(support, faces)
+
+
+def _generator_rows(ideal: MonomialIdeal) -> np.ndarray:
+    return np.array([g.exponents for g in ideal.gens],
+                    dtype=np.int64).reshape(len(ideal.gens), ideal.ambient)
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -103,40 +166,34 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """
     if ideal.ambient != b.ambient:
         raise ValueError("ambient mismatch between ideal and multidegree")
-    gen_rows = np.array([g.exponents for g in ideal.gens], dtype=np.int64)
-    if gen_rows.size == 0:
-        gen_rows = gen_rows.reshape(0, ideal.ambient)
-    return SimplicialComplex(
-        vertices=tuple(b.support),
-        faces=_koszul_faces(gen_rows, b.exponents),
-    )
+    return _koszul_complex(_generator_rows(ideal), b.exponents)
 
 
-def _rank_mod_p(matrix: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by dense Gaussian elimination."""
-    a = np.array(matrix % p, dtype=np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, nrows):
-            if a[r, col]:
-                pivot = r
+def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) of the matrix with these sparse columns {row: entry}.
+
+    Column reduction in Python integers, so exact for every p: each column
+    is reduced against the stored pivot columns, keyed by their largest
+    row, until it vanishes or brings a new pivot row.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        col = {r: v % p for r, v in column.items() if v % p}
+        while col:
+            row = max(col)
+            pivot = pivots.get(row)
+            if pivot is None:
+                inv = pow(col[row], -1, p)
+                pivots[row] = {r: v * inv % p for r, v in col.items()}
                 break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            a[[rank, pivot]] = a[[pivot, rank]]
-        inv = pow(int(a[rank, col]), -1, p)
-        a[rank] = (a[rank] * inv) % p
-        below = np.nonzero(a[rank + 1:, col])[0]
-        if below.size:
-            rows = below + rank + 1
-            a[rows] = (a[rows] - np.outer(a[rows, col], a[rank])) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            factor = col[row]
+            for r, v in pivot.items():
+                value = (col.get(r, 0) - factor * v) % p
+                if value:
+                    col[r] = value
+                else:
+                    col.pop(r, None)
+    return len(pivots)
 
 
 def homology_dims(cx: SimplicialComplex, p: int = DEFAULT_PRIME) -> list[int]:
@@ -146,25 +203,21 @@ def homology_dims(cx: SimplicialComplex, p: int = DEFAULT_PRIME) -> list[int]:
     complex gives [], and the complex whose only face is the empty face has
     reduced H_(-1) of dimension 1.
     """
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_prime(p)
     if cx.is_void():
         return []
-    index = {d: {f: j for j, f in enumerate(fs)} for d, fs in cx.faces.items()}
     top = max(cx.faces)
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
         upper = cx.faces.get(d, [])
-        lower = index.get(d - 1, {})
+        lower = cx.faces.get(d - 1, [])
         if not upper or not lower:
             continue
+        index = {f: j for j, f in enumerate(lower)}
         # boundary drops vertices in increasing position with alternating signs
-        m = np.zeros((len(lower), len(upper)), dtype=np.int64)
-        for j, face in enumerate(upper):
-            for k in range(len(face)):
-                sub = face[:k] + face[k + 1:]
-                m[lower[sub], j] = 1 if k % 2 == 0 else p - 1
-        ranks[d] = _rank_mod_p(m, p)
+        columns = [{index[face[:k] + face[k + 1:]]: 1 if k % 2 == 0 else -1
+                    for k in range(len(face))} for face in upper]
+        ranks[d] = _rank_mod_p(columns, p)
     dims = []
     for d in range(-1, top + 1):
         n_faces = len(cx.faces.get(d, []))
@@ -180,6 +233,9 @@ class BettiTable:
     char: int | None = None
 
     def __post_init__(self):
+        negative = sorted(k for k, v in self.entries.items() if v < 0)
+        if negative:
+            raise ValueError(f"negative Betti numbers at (i, j) = {negative}")
         self.entries = {k: v for k, v in self.entries.items() if v}
 
     @classmethod
@@ -227,29 +283,14 @@ class BettiTable:
 
 
 def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
-                 cap: int = DEFAULT_LATTICE_CAP, threads: int = 1) -> BettiTable:
-    """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
-
-    Per-multidegree work is independent; with threads > 1 it runs on a
-    thread pool, merged in lattice order so the result is identical to the
-    single-threaded one.
-    """
+                 cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
+    """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p)."""
+    check_prime(p)
     lattice = lcm_lattice(ideal, cap)
-    gen_rows = np.array([g.exponents for g in ideal.gens], dtype=np.int64)
-
-    def dims_at(bexp):
-        support = tuple(v for v, e in enumerate(bexp) if e > 0)
-        faces = _koszul_faces(gen_rows, bexp)
-        return homology_dims(SimplicialComplex(support, faces), p)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_dims = list(pool.map(dims_at, lattice))
-    else:
-        all_dims = [dims_at(b) for b in lattice]
-
+    gen_rows = _generator_rows(ideal)
     entries: dict[tuple[int, int], int] = {}
-    for bexp, dims in zip(lattice, all_dims):
+    for bexp in lattice:
+        dims = homology_dims(_koszul_complex(gen_rows, bexp), p)
         degree = sum(bexp)
         for i, h in enumerate(dims):
             if h:

@@ -53,11 +53,11 @@ _table_cache: dict[tuple, BettiTable] = {}
 
 
 def oracle_table(ideal: MonomialIdeal, char: int = DEFAULT_PRIME,
-                 cap: int = DEFAULT_LATTICE_CAP, threads: int = 1) -> BettiTable:
+                 cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
     key = (ideal, char, cap)
     table = _table_cache.get(key)
     if table is None:
-        table = _table_cache[key] = graded_betti(ideal, char, cap, threads)
+        table = _table_cache[key] = graded_betti(ideal, char, cap)
     return table
 
 
@@ -119,8 +119,7 @@ def _strip(seq: list[int]) -> list[int]:
 
 
 def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
-                 strict_delta: bool = False, cap: int = DEFAULT_LATTICE_CAP,
-                 threads: int = 1) -> list[int]:
+                 strict_delta: bool = False, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """Total Betti sequence (i = 0, 1, ...) of the case by the given route.
 
     Routes: "oracle", "closed", "recursion", "series".  Projective dimension
@@ -129,7 +128,7 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     """
     n, s, t = case.n, case.s, case.t
     if route == "oracle":
-        return _strip(oracle_table(case.ideal(), char, cap, threads).totals())
+        return _strip(oracle_table(case.ideal(), char, cap).totals())
     span = range(n + 1)
     if case.kind == "long-power":
         if route == "closed":
@@ -172,7 +171,7 @@ def _compare_totals(pairs):
 
 
 def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
-                   cap=DEFAULT_LATTICE_CAP, threads=1) -> list[Report]:
+                   cap=DEFAULT_LATTICE_CAP) -> list[Report]:
     """Compare total Betti sequences across routes, case by case.
 
     The oracle route is expanded once per characteristic and additionally
@@ -194,7 +193,7 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
                 name = f"oracle(p={p})" if route == "oracle" else route
                 pairs.append((name, route_totals(
                     case, route, char=p or DEFAULT_PRIME,
-                    strict_delta=strict_delta, cap=cap, threads=threads)))
+                    strict_delta=strict_delta, cap=cap)))
             return _compare_totals(pairs)
 
         reports.append(_timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
@@ -204,13 +203,13 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
             if route != "oracle":
                 continue
             reports.append(_timed(f"{case.label()} oracle(p={p}) audit",
-                                  lambda case=case, p=p: _audit_oracle(case, p, cap, threads)))
+                                  lambda case=case, p=p: _audit_oracle(case, p, cap)))
     return reports
 
 
-def _audit_oracle(case: FamilyCase, char, cap, threads):
+def _audit_oracle(case: FamilyCase, char, cap):
     """Single-row linearity plus pd/reg against the closed formulas."""
-    table = oracle_table(case.ideal(), char, cap, threads)
+    table = oracle_table(case.ideal(), char, cap)
     degree = case.initial_degree()
     if table.rows() != [degree]:
         return {"aspect": "linearity", "rows": table.rows(), "expected_row": degree}
@@ -228,7 +227,7 @@ def _audit_oracle(case: FamilyCase, char, cap, threads):
 
 def check_splitting(total: MonomialIdeal, left: MonomialIdeal, right: MonomialIdeal,
                     char: int = DEFAULT_PRIME, cap: int = DEFAULT_LATTICE_CAP,
-                    threads: int = 1, label: str | None = None) -> Report:
+                    label: str | None = None) -> Report:
     """Audit the splitting identity beta_i(total) = beta_i(left) + beta_i(right)
     + beta_{i-1}(left & right), plus the pd and reg max-formulas it implies.
     """
@@ -237,10 +236,10 @@ def check_splitting(total: MonomialIdeal, left: MonomialIdeal, right: MonomialId
     case = label or f"split {total_label(total, left, right)}"
 
     def compute():
-        tp = oracle_table(total, char, cap, threads)
-        tl = oracle_table(left, char, cap, threads)
-        tr = oracle_table(right, char, cap, threads)
-        tm = oracle_table(left & right, char, cap, threads)
+        tp = oracle_table(total, char, cap)
+        tl = oracle_table(left, char, cap)
+        tr = oracle_table(right, char, cap)
+        tm = oracle_table(left & right, char, cap)
         top = max(tp.pd(), tl.pd(), tr.pd(), tm.pd() + 1)
         for i in range(top + 1):
             want = tl.total(i) + tr.total(i) + (tm.total(i - 1) if i >= 1 else 0)
@@ -345,13 +344,12 @@ def suite_three_route(n_max=10, t_max=8, chars=(DEFAULT_PRIME,), **opt) -> list[
             reports.append(_timed(
                 f"{case.label()} oracle(p={p}) audit",
                 lambda case=case, p=p: _audit_oracle(
-                    case, p, opt.get("cap", DEFAULT_LATTICE_CAP), opt.get("threads", 1))))
+                    case, p, opt.get("cap", DEFAULT_LATTICE_CAP))))
     return reports
 
 
 def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
     cap = opt.get("cap", DEFAULT_LATTICE_CAP)
-    threads = opt.get("threads", 1)
     reports = []
 
     # (a) splitting off the first generator of the long-path product
@@ -365,7 +363,7 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * (below ** (s + 1) * here ** (t - 1))
                 reports.append(check_splitting(
-                    total, left, right, char, cap, threads,
+                    total, left, right, char, cap,
                     label=f"long-power split n={n} s={s} t={t}"))
 
     # (b) every chain step of the mixed and corner decompositions
@@ -378,7 +376,7 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                         rest = variable(n, n) * families.chain_tail(n, s, t, j + 1, family)
                         total = families.chain_tail(n, s, t, j, family)
                         reports.append(check_splitting(
-                            total, piece, rest, char, cap, threads,
+                            total, piece, rest, char, cap,
                             label=f"{family} chain split n={n} s={s} t={t} j={j}"))
                         reports.append(_timed(
                             f"{family} chain intersection n={n} s={s} t={t} j={j}",
@@ -396,7 +394,7 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * families.stacked_reduced_power(n, s + 1, t - 1)
                 reports.append(check_splitting(
-                    total, left, right, char, cap, threads,
+                    total, left, right, char, cap,
                     label=f"stacked split n={n} s={s} t={t}"))
     return reports
 
@@ -529,7 +527,7 @@ SUITES = {
 
 
 def _sweep_opt(opt: dict) -> dict:
-    return {k: opt[k] for k in ("strict_delta", "cap", "threads") if k in opt}
+    return {k: opt[k] for k in ("strict_delta", "cap") if k in opt}
 
 
 def run_suite(name: str, **opt) -> list[Report]:

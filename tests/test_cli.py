@@ -181,6 +181,25 @@ class TestTableCommand:
         assert strict.splitlines()[1] == "0,2,4"
 
 
+class TestBadCharacteristic:
+    @pytest.mark.parametrize("argv", [
+        ("table", "Jc(4,3)", "--char", "4"),
+        ("table", "Jc(4,3)", "--char", "1"),
+        ("table", "Jc(4,3)", "--char", "-7"),
+        ("table", "Jc(4,3)", "--char", "two"),
+        ("pd", "Jc(4,3)", "--route", "oracle", "--char", "561"),
+        ("split", "Jc(4,3)", "(x1*x2*x3)", "(x1*x2*x4, x1*x3*x4, x2*x3*x4)",
+         "--char", "3215031751"),
+    ])
+    def test_usage_exit(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument --char:")
+
+
 class TestPdCommand:
     @pytest.mark.parametrize("route", ["closed", "recursive", "oracle"])
     def test_routes_agree(self, capsys, route):

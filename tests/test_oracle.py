@@ -1,11 +1,18 @@
 import random
+import time
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebetti.families import (cycle_path_ideal, long_path_ideal,
                                  mixed_power, short_path_ideal)
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
-from cyclebetti.oracle import (BettiTable, LatticeCapError, SimplicialComplex,
+from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
+                               SimplicialComplex, _generator_rows, _is_prime,
+                               _koszul_complex, _rank_mod_p, check_prime,
                                graded_betti, homology_dims, lcm_lattice,
                                upper_koszul)
 
@@ -189,10 +196,6 @@ class TestGradedBetti:
         for I in (long_path_ideal(4) ** 2, short_path_ideal(5), mixed_power(4, 1, 1)):
             assert graded_betti(I, 2).entries == graded_betti(I, 32003).entries
 
-    def test_threads_match_serial(self):
-        I = mixed_power(4, 1, 1)
-        assert graded_betti(I, threads=4).entries == graded_betti(I).entries
-
 
 class TestBettiTable:
     def test_from_totals(self):
@@ -207,3 +210,113 @@ class TestBettiTable:
         assert table.reg() == 3
         assert table.rows() == [2, 3]
         assert not table.is_single_row()
+
+    def test_rejects_negative_entries(self):
+        with pytest.raises(ValueError, match="negative"):
+            BettiTable({(0, 2): 3, (1, 3): -1}, 3)
+
+
+class TestPrimeCheck:
+    def test_agrees_with_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+        assert [p for p in range(-5, 5000) if _is_prime(p)] == [
+            p for p in range(-5, 5000) if trial(p)]
+
+    def test_large_prime_is_fast(self):
+        start = time.perf_counter()
+        check_prime(2**64 - 59)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("p", [561, 3215031751, 2**64 - 57])
+    def test_rejects_pseudoprimes_and_composites(self, p):
+        with pytest.raises(ValueError, match="not prime"):
+            check_prime(p)
+
+    def test_refuses_beyond_certified_bound(self):
+        with pytest.raises(ValueError, match="too large"):
+            check_prime(PRIME_CHECK_BOUND + 1)
+
+    def test_graded_betti_checks_before_work(self):
+        with pytest.raises(ValueError, match="not prime"):
+            graded_betti(long_path_ideal(6) ** 2, 6, cap=10)
+
+    def test_large_prime_table_matches_small(self):
+        I = cycle_path_ideal(6, 2)
+        assert graded_betti(I, 4294967311) == graded_betti(I, 2)
+
+
+# ---------------------------------------------------------------------------
+# Property tests against brute-force definitions
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_ideals(draw):
+    """Nonzero, non-unit ideals in at most 4 variables, exponents at most 2,
+    with the generator list as drawn (order and redundancy kept)."""
+    n = draw(st.integers(1, 4))
+    exponent = st.tuples(*[st.integers(0, 2)] * n).filter(any)
+    gens = draw(st.lists(exponent, min_size=1, max_size=6))
+    return MonomialIdeal([Monomial(g) for g in gens], n), gens
+
+
+def dense_rank_mod_p(rows, p):
+    """Reference rank: row reduction of a dense list-of-lists matrix."""
+    a = [[v % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inv = pow(a[rank][col], -1, p)
+        a[rank] = [v * inv % p for v in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col]
+                a[r] = [(v - f * w) % p for v, w in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(small_ideals())
+    def test_faces_match_definition(self, drawn):
+        I, _ = drawn
+        for b in lcm_lattice(I):
+            support = [v for v, e in enumerate(b) if e > 0]
+            expected = {}
+            for size in range(len(support) + 1):
+                level = [F for F in combinations(support, size)
+                         if I.contains(Monomial(e - (v in F) for v, e in enumerate(b)))]
+                if level:
+                    expected[size - 1] = level
+            assert upper_koszul(I, Monomial(b)).faces == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([2, 3, 32003]), st.integers(1, 6), st.integers(1, 6),
+           st.data())
+    def test_rank_matches_dense_reference(self, p, nrows, ncols, data):
+        entry = st.sampled_from([-1, 0, 1])
+        rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+        columns = [{r: rows[r][c] for r in range(nrows) if rows[r][c]}
+                   for c in range(ncols)]
+        assert _rank_mod_p(columns, p) == dense_rank_mod_p(rows, p)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), st.randoms(use_true_random=False))
+    def test_generator_order_is_irrelevant(self, drawn, rng):
+        I, gens = drawn
+        shuffled = gens[:]
+        rng.shuffle(shuffled)
+        J = MonomialIdeal([Monomial(g) for g in shuffled], I.ambient)
+        assert graded_betti(J, 2) == graded_betti(I, 2)
+        # faces depend on the generators only as a set of facets, so the
+        # shuffled generating set, redundant members included, gives the
+        # same complexes as the minimal one
+        minimal = _generator_rows(I)
+        drawn_rows = np.array(shuffled, dtype=np.int64)
+        for b in lcm_lattice(I):
+            assert _koszul_complex(drawn_rows, b) == _koszul_complex(minimal, b)
