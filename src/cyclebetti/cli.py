@@ -29,7 +29,7 @@ import sys
 from dataclasses import dataclass
 
 from . import families, formulas, recursion, verify
-from .monomials import Monomial, MonomialIdeal, variable
+from .monomials import CandidateCapError, Monomial, MonomialIdeal, variable
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
                      LatticeCapError, check_prime, graded_betti)
 from .verify import FamilyCase, route_totals
@@ -308,11 +308,17 @@ def resolve_ambient(*nodes) -> int:
 
 
 def evaluate(node, ambient: int) -> MonomialIdeal:
+    """The ideal a syntax tree denotes.  Values the monomial layer refuses,
+    such as an exponent past 2^31, raise ParseError."""
+    try:
+        return _evaluate(node, ambient)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _evaluate(node, ambient: int) -> MonomialIdeal:
     if isinstance(node, CycleAtom):
-        try:
-            return families.cycle_path_ideal(node.n, node.m)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return families.cycle_path_ideal(node.n, node.m)
     if isinstance(node, ShortAtom):
         return families.short_path_ideal(node.n)
     if isinstance(node, ReducedAtom):
@@ -324,10 +330,10 @@ def evaluate(node, ambient: int) -> MonomialIdeal:
                 for m in node.monomials]
         return MonomialIdeal(gens, ambient)
     if isinstance(node, Power):
-        return evaluate(node.base, ambient) ** node.exp
+        return _evaluate(node.base, ambient) ** node.exp
     if isinstance(node, BinOp):
-        left = evaluate(node.left, ambient)
-        right = evaluate(node.right, ambient)
+        left = _evaluate(node.left, ambient)
+        right = _evaluate(node.right, ambient)
         if node.op == "*":
             return left * right
         if node.op == "+":
@@ -502,8 +508,11 @@ def _cmd_pd(args) -> int:
 
 
 def _cmd_gf(args) -> int:
-    for i in range(args.imax + 1):
-        print(f"{i}\t{formulas.series_betti(args.n, args.t, i)}")
+    try:
+        for i in range(args.imax + 1):
+            print(f"{i}\t{formulas.series_betti(args.n, args.t, i)}")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return 0
 
 
@@ -617,7 +626,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
-    except LatticeCapError as exc:
+    except (LatticeCapError, CandidateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
     if argv is None:

@@ -69,7 +69,7 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tu
     """
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("lcm lattice needs a nonzero, non-unit ideal")
-    gens = [g.exponents for g in ideal.gens]
+    gens = [tuple(row) for row in ideal.matrix().tolist()]
     lattice = set(gens)
     frontier = set(gens)
     while frontier:
@@ -153,11 +153,6 @@ def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialCo
     return SimplicialComplex(support, faces)
 
 
-def _generator_rows(ideal: MonomialIdeal) -> np.ndarray:
-    return np.array([g.exponents for g in ideal.gens],
-                    dtype=np.int64).reshape(len(ideal.gens), ideal.ambient)
-
-
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """Upper Koszul complex of the ideal at multidegree b.
 
@@ -166,7 +161,7 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     """
     if ideal.ambient != b.ambient:
         raise ValueError("ambient mismatch between ideal and multidegree")
-    return _koszul_complex(_generator_rows(ideal), b.exponents)
+    return _koszul_complex(ideal.matrix(), b.exponents)
 
 
 def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
@@ -287,7 +282,7 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p)."""
     check_prime(p)
     lattice = lcm_lattice(ideal, cap)
-    gen_rows = _generator_rows(ideal)
+    gen_rows = ideal.matrix()
     entries: dict[tuple[int, int], int] = {}
     for bexp in lattice:
         dims = homology_dims(_koszul_complex(gen_rows, bexp), p)

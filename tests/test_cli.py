@@ -1,6 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import cyclebetti
 
 from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
                             ReducedAtom, ShortAtom, VarsAtom, build_ideal,
@@ -198,6 +205,40 @@ class TestBadCharacteristic:
         assert exit_info.value.code == 2
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument --char:")
+
+
+SRC = Path(cyclebetti.__file__).resolve().parents[1]
+
+
+class TestBadInput:
+    """Values the grammar accepts but the mathematics or the exponent limit
+    refuses: exit 2 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("gf", "--n", "1", "--t", "1", "--imax", "2"),
+        ("gf", "--n", "4", "--t", "-1", "--imax", "2"),
+        ("table", "(x1^99999999999*x2)"),
+        ("table", "(x1^2147483648*x2)^2"),
+        ("pd", "(x1^2147483648) * m(x1,x2)", "--route", "oracle"),
+        ("split", "(x1^2147483648)^2", "(x1)", "(x2)"),
+    ])
+    def test_usage_exit(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "cyclebetti", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+class TestCandidateCapCommand:
+    def test_cap_exit_code(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "table", "I(10)^20")
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        [line] = err.splitlines()
+        assert "candidate generators" in line and "cap of 1000000" in line
 
 
 class TestPdCommand:

@@ -1,9 +1,15 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclebetti.monomials import (AmbientMismatchError, Monomial, MonomialIdeal,
-                                  minimalize, one, parse_monomial, variable)
+from cyclebetti import monomials
+from cyclebetti.families import short_path_ideal
+from cyclebetti.monomials import (AmbientMismatchError, CandidateCapError, Monomial,
+                                  MonomialIdeal, minimalize, one, parse_monomial,
+                                  variable)
 
 
 def mono(*exps):
@@ -184,3 +190,163 @@ class TestScaledIntersectionIdentity:
             for t in (1, 2, 3):
                 left = (xnK ** s * J ** t) & (xnK ** (s + 1) * I ** (t - 1))
                 assert left == xn * (xnK ** s * J ** t), (s, t)
+
+
+# ---------------------------------------------------------------------------
+# The packed exponent matrix against the definition
+# ---------------------------------------------------------------------------
+
+def reference_minimal(exponents):
+    """Definition: the distinct exponent vectors that no other one divides,
+    sorted by (degree, vector).  Pairwise and in Python integers."""
+    unique = set(exponents)
+    kept = [a for a in unique
+            if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in unique)]
+    return sorted(kept, key=lambda e: (sum(e), e))
+
+
+def exps(ideal):
+    return [g.exponents for g in ideal.gens]
+
+
+def reference_power(gens, t, ambient):
+    result = [(0,) * ambient]
+    for _ in range(t):
+        result = reference_minimal(
+            tuple(x + y for x, y in zip(a, b)) for a, b in product(result, gens))
+    return result
+
+
+# exponents are packed in as many bits as the largest needs: draw both
+# sides of several width boundaries, 15/16 and 255/256 among them
+EXPONENT = st.one_of(st.integers(0, 3), st.sampled_from([7, 8, 15, 16, 255, 256]))
+
+
+@st.composite
+def generator_lists(draw, ambient):
+    """Exponent vectors as drawn: empty (the zero ideal), with the unit
+    vector (the unit ideal), redundant and repeated members all occur."""
+    vector = st.tuples(*[EXPONENT] * ambient)
+    return draw(st.one_of(
+        st.just([]), st.just([(0,) * ambient]),
+        st.lists(vector, max_size=6),
+        st.lists(vector, min_size=1, max_size=4).map(lambda g: g + [(0,) * ambient] + g)))
+
+
+@st.composite
+def ideal_tuples(draw, count):
+    """`count` ideals in one ambient of 1-3 variables, with their drawn lists."""
+    ambient = draw(st.integers(1, 3))
+    lists = [draw(generator_lists(ambient)) for _ in range(count)]
+    return [(MonomialIdeal([Monomial(g) for g in gens], ambient), gens)
+            for gens in lists]
+
+
+class TestPackedAgainstDefinition:
+    @settings(max_examples=150, deadline=None)
+    @given(ideal_tuples(2))
+    def test_operations_match_pairwise_reference(self, pair):
+        (a, ga), (b, gb) = pair
+        assert exps(a) == reference_minimal(ga)
+        assert exps(b) == reference_minimal(gb)
+        assert exps(a * b) == reference_minimal(
+            tuple(x + y for x, y in zip(u, v)) for u, v in product(ga, gb))
+        assert exps(a & b) == reference_minimal(
+            tuple(map(max, u, v)) for u, v in product(ga, gb))
+        assert exps(a + b) == reference_minimal(ga + gb)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideal_tuples(1), st.integers(0, 3))
+    def test_power_matches_reference(self, single, t):
+        [(a, gens)] = single
+        assert exps(a ** t) == reference_power(reference_minimal(gens), t, a.ambient)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ideal_tuples(1))
+    def test_minimalize_idempotent_and_text_roundtrip(self, single):
+        [(a, gens)] = single
+        first = minimalize([Monomial(g) for g in gens]) if gens else ()
+        assert first == a.gens
+        assert minimalize(first) == first
+        assert MonomialIdeal(a.gens, a.ambient) == a
+        assert MonomialIdeal.parse(str(a), a.ambient) == a
+        assert hash(MonomialIdeal(list(reversed(a.gens)), a.ambient)) == hash(a)
+
+
+class TestIdealLaws:
+    @settings(max_examples=80, deadline=None)
+    @given(ideal_tuples(3))
+    def test_commutative_associative(self, triple):
+        a, b, c = (ideal for ideal, _ in triple)
+        for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x & y):
+            assert op(a, b) == op(b, a)
+            assert op(op(a, b), c) == op(a, op(b, c))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ideal_tuples(3))
+    def test_distributive_over_sum(self, triple):
+        a, b, c = (ideal for ideal, _ in triple)
+        assert a * (b + c) == a * b + a * c
+        assert a & (b + c) == (a & b) + (a & c)
+
+
+class TestExponentWidths:
+    def test_product_overflowing_uint8(self):
+        got = MonomialIdeal.parse("(x1^200)") * MonomialIdeal.parse("(x1^100)")
+        assert exps(got) == [(300,)]
+        assert got == MonomialIdeal.parse("(x1^300)")
+
+    @pytest.mark.parametrize("top", [15, 16, 255, 256, 65535, 65536, 2**31])
+    def test_width_boundaries_roundtrip(self, top):
+        I = MonomialIdeal([Monomial((top, 0, 1)), Monomial((0, 1, 0))])
+        assert exps(I) == [(0, 1, 0), (top, 0, 1)]
+        assert I.matrix().tolist() == [[0, 1, 0], [top, 0, 1]]
+        if 2 * top <= 2**31:
+            assert (I * I).gens[-1] == Monomial((2 * top, 0, 2))
+
+    def test_equal_ideals_have_equal_bytes(self):
+        a = MonomialIdeal.parse("(x1^16, x2)") & MonomialIdeal.parse("(x1^2, x2)")
+        assert a == MonomialIdeal.parse("(x1^16, x2)")
+        assert hash(a) == hash(MonomialIdeal.parse("(x2, x1^16)"))
+
+    def test_same_words_at_different_widths_differ(self):
+        # x1*x2 at 1 bit and x1^3 at 2 bits pack into the same word, 3
+        a, b = MonomialIdeal.parse("(x1*x2)"), MonomialIdeal.parse("(x1^3)", 2)
+        assert a != b
+        assert a.matrix().tolist() == [[1, 1]] and b.matrix().tolist() == [[3, 0]]
+
+    def test_candidate_past_exponent_limit(self):
+        half = MonomialIdeal([Monomial((2**30,))])
+        assert exps(half * half) == [(2**31,)]
+        with pytest.raises(ValueError, match="exceeds 2"):
+            half * MonomialIdeal([Monomial((2**30 + 1,))])
+
+    def test_non_minimal_candidate_past_exponent_limit(self):
+        # x1*x2*x3 divides the candidate x1^(2^31+1)*x2*x3, which still refuses
+        a = MonomialIdeal([Monomial((0, 1, 0)), Monomial((2**31, 0, 1))])
+        b = MonomialIdeal([Monomial((1, 1, 0)), Monomial((1, 0, 1))])
+        with pytest.raises(ValueError, match="exceeds 2"):
+            a * b
+        with pytest.raises(ValueError, match="exceeds 2"):
+            a * Monomial((1, 0, 0))
+
+    def test_matrix_is_read_only(self):
+        for text in ("(x1*x2, x3)", "(x1^300, x2)"):
+            with pytest.raises(ValueError):
+                MonomialIdeal.parse(text).matrix()[0, 0] = 7
+
+
+class TestCandidateCap:
+    def test_large_power_still_builds(self):
+        assert len(short_path_ideal(10) ** 8) == 24090
+
+    def test_refused_before_building(self, monkeypatch):
+        monkeypatch.setattr(monomials, "MAX_CANDIDATES", 11)
+        a = MonomialIdeal.parse("(x1, x2, x3)")
+        b = MonomialIdeal.parse("(x1^2, x2^2, x3^2, x1*x2)")
+        with pytest.raises(CandidateCapError, match="12 candidate generators.*cap of 11"):
+            a * b
+        with pytest.raises(CandidateCapError):
+            a & b
+        assert len(a + b) == 3
+        assert len(a * MonomialIdeal.parse("(x1^2, x2^2, x3^2)")) == 9

@@ -11,7 +11,7 @@ from cyclebetti.families import (cycle_path_ideal, long_path_ideal,
                                  mixed_power, short_path_ideal)
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
 from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
-                               SimplicialComplex, _generator_rows, _is_prime,
+                               SimplicialComplex, _is_prime,
                                _koszul_complex, _rank_mod_p, check_prime,
                                graded_betti, homology_dims, lcm_lattice,
                                upper_koszul)
@@ -316,7 +316,7 @@ class TestProperties:
         # faces depend on the generators only as a set of facets, so the
         # shuffled generating set, redundant members included, gives the
         # same complexes as the minimal one
-        minimal = _generator_rows(I)
+        minimal = I.matrix()
         drawn_rows = np.array(shuffled, dtype=np.int64)
         for b in lcm_lattice(I):
             assert _koszul_complex(drawn_rows, b) == _koszul_complex(minimal, b)
