@@ -16,9 +16,9 @@ from .formulas import (binomial, long_path_betti, long_path_pd_reg,
                        reduced_power_betti, reduced_power_pd_reg, series_betti,
                        short_path_betti, short_path_betti_parts,
                        short_path_pd_reg)
-from .recursion import (clear_caches, composed_support, corner_rec,
-                        exchange_residual, long_path_rec, mixed_rec,
-                        shift_residual, short_path_pd_rec)
+from .recursion import (clear_caches, composed_support, corner_rec, corner_seq,
+                        exchange_residual, long_path_rec, long_path_seq,
+                        mixed_rec, mixed_seq, shift_residual, short_path_pd_rec)
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
                      LatticeCapError, SimplicialComplex, graded_betti,
                      homology_dims, lcm_lattice, upper_koszul)

@@ -487,22 +487,16 @@ def _cmd_pd(args) -> int:
     if case is None:
         raise ParseError(f"--route {args.route} needs a recognized family; "
                          "use --route oracle")
-    n, s, t = case.n, case.s, case.t
     if args.route == "closed":
-        if case.kind == "long-power":
-            pd = formulas.long_path_pd_reg(n, t)[0]
-        elif case.kind == "mixed":
-            pd = (formulas.reduced_power_pd_reg(n, s)[0] if t == 0
-                  else formulas.short_path_pd_reg(n, s, t)[0])
-        else:
+        closed = case.closed_pd_reg()
+        if closed is None:
             raise ParseError("no closed pd for corner families; "
                              "use --route recursive or oracle")
+        pd = closed[0]
+    elif case.kind == "mixed" and case.t >= 1:
+        pd = recursion.short_path_pd_rec(case.n, case.s, case.t)
     else:
-        if case.kind == "mixed" and t >= 1:
-            pd = recursion.short_path_pd_rec(n, s, t)
-        else:
-            totals = route_totals(case, "recursion", strict_delta=args.strict_delta)
-            pd = len(totals) - 1
+        pd = len(route_totals(case, "recursion", strict_delta=args.strict_delta)) - 1
     print(pd)
     return 0
 

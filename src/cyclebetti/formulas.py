@@ -39,24 +39,24 @@ def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, in
     The minus piece splits on the parity of n, with k = floor(n/2).  Negative
     s, t or i are evaluated as written: the sums are empty or vanish through
     the binomial convention.
+
+    Each j loop runs only over the terms that convention leaves nonzero: a
+    binomial(a, n-1) needs a >= n-1, so plus needs j >= i - s - max(t, 0)
+    and minus needs j <= s + max(t, 0) + k - n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     k = n // 2
+    reach = s + max(t, 0)
     plus = sum(
         binomial(n, i - 2 * j)
         * (binomial(n + s + t - 1 - i + j, n - 1) - binomial(n + s - 1 - i + j, n - 1))
-        for j in range(i // 2 + 1))
-    if n % 2:
-        minus = sum(
-            binomial(n, i - 1 - 2 * j)
-            * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
-            for j in range((i - 1) // 2 + 1))
-    else:
-        minus = sum(
-            binomial(n, i - 2 * j)
-            * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
-            for j in range(i // 2 + 1))
+        for j in range(max(0, i - reach), i // 2 + 1))
+    odd = n % 2
+    minus = sum(
+        binomial(n, i - odd - 2 * j)
+        * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
+        for j in range(min((i - odd) // 2, reach + k - n) + 1))
     const = binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)
     return plus, minus, const
 

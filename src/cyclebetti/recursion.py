@@ -1,96 +1,197 @@
 """Recursive Betti-number routes and their internal consistency checks.
 
-Two memoized recursions live here.  The long-path recursion computes
-Betti numbers of long(n-1)^s * long(n)^t from the splitting off the first
-generator.  The mixed/corner recursion is mutual: each mixed-chain step
-contributes a corner family one cycle size down, and each corner-chain step
-a mixed family one size down, so values at n reduce to values at n-1 and
-n-2 until the closed reduced-power form takes over at t = 0.
+Every term of the splitting recursions is beta_i or beta_{i-1} of a smaller
+family, so on the whole sequence beta_0..beta_pd a recursion step is a sum
+of sequences, some multiplied by (1 + z).  The recursions here carry whole
+Betti sequences: tuples of ints with trailing zeros stripped, () for the
+zero sequence, cached per (family, n, s, t).
 
-Both recursions are pure; the memo tables only affect speed, never values.
+Two recursions live here.  The long-path recursion computes the sequence of
+long(n-1)^s * long(n)^t from the splitting off the first generator; it runs
+bottom-up over n in a plain loop.  The mixed/corner recursion is mutual:
+each mixed-chain step contributes corner families one cycle size down, and
+each corner-chain step mixed families one size down, until the closed
+reduced-power form takes over at t = 0.  The members it needs are listed
+size by size first and evaluated from the smallest size up, so neither
+recursion's Python stack grows with n.
+
+long_path_rec, mixed_rec and corner_rec are index lookups into the cached
+sequences.  The recursions are pure; the caches only affect speed, never
+values.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 from .families import corner_chain_pairs, mixed_chain_pairs
-from .formulas import reduced_power_betti, short_path_betti
+from .formulas import reduced_power_betti, reduced_power_pd_reg, short_path_betti
 
-_long_memo: dict[tuple[int, int, int, int], int] = {}
-_bc_memo: dict[tuple, int] = {}
+Seq = tuple[int, ...]
+
+
+def _strip(values) -> Seq:
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def _add(*seqs: Seq) -> Seq:
+    out = [0] * max(map(len, seqs), default=0)
+    for seq in seqs:
+        for i, value in enumerate(seq):
+            out[i] += value
+    return _strip(out)
+
+
+def _one_plus_z(seq: Seq) -> Seq:
+    """(1 + z) * seq: entry i becomes seq[i] + seq[i-1]."""
+    if not seq:
+        return ()
+    return tuple(a + b for a, b in zip(seq + (0,), (0,) + seq))
+
+
+def _at(seq: Seq, i: int) -> int:
+    return seq[i] if 0 <= i < len(seq) else 0
 
 
 def clear_caches() -> None:
-    """Drop all memoized values (results must be unaffected)."""
-    _long_memo.clear()
-    _bc_memo.clear()
+    """Drop all cached sequences (results must be unaffected)."""
+    for cached in (_long_path_seq, _long_path_step, _chain_seq, _chain_step,
+                   _chain_terms):
+        cached.cache_clear()
 
 
-def long_path_rec(n: int, s: int, t: int, i: int) -> int:
-    """Betti number of long(n-1)^s * long(n)^t by the splitting recursion.
+# ---------------------------------------------------------------------------
+# Long-path recursion.
+# ---------------------------------------------------------------------------
 
-    Negative s, t or i give 0.  At n = 2 the ideal is (x1,x2)^t, whose
-    Betti numbers are t+1 and t; at t = 0 the product is a flat extension
-    of a single power one cycle size down.
+def long_path_seq(n: int, s: int, t: int) -> Seq:
+    """Betti sequence of long(n-1)^s * long(n)^t by the splitting recursion.
+
+    Splitting off the first generator gives L(n, s, t) = (1+z) L(n, s, 0) +
+    L(n, s+1, t-1) with L(n, s, 0) = L(n-1, 0, s); at n = 2 the ideal is
+    (x1,x2)^t, with sequence (t+1, t).  Negative s or t give ().
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    if s < 0 or t < 0 or i < 0:
-        return 0
-    key = (n, s, t, i)
-    cached = _long_memo.get(key)
-    if cached is not None:
-        return cached
+    if s < 0 or t < 0:
+        return ()
+    return _long_path_seq(n, s, t)
+
+
+@cache
+def _long_path_step(n: int, s: int, t: int) -> Seq:
+    """L(n, s, t) from members already in this cache.
+
+    Unrolling the recursion over t and differencing in t gives
+    L(n, s, t) = L(n, s, t-1) + z L(n-1, 0, s+t-1) + L(n-1, 0, s+t),
+    one step per member and no subtraction.
+    """
     if n == 2:
-        val = t + 1 if i == 0 else (t if i == 1 else 0)
-    elif t == 0:
-        val = (1 if i == 0 else 0) if s == 0 else long_path_rec(n - 1, 0, s, i)
-    else:
-        val = (long_path_rec(n, s, 0, i)
-               + long_path_rec(n, s + 1, t - 1, i)
-               + long_path_rec(n, s, 0, i - 1))
-    _long_memo[key] = val
-    return val
+        return _strip((t + 1, t))
+    if t == 0:
+        return _long_path_step(n - 1, 0, s)
+    return _add(_long_path_step(n, s, t - 1),
+                (0,) + _long_path_step(n - 1, 0, s + t - 1),
+                _long_path_step(n - 1, 0, s + t))
 
 
-def _bc(which: str, n: int, s: int, t: int, i: int, strict: bool) -> int:
-    if s < 0 or t < 0 or i < 0:
-        return 0
-    key = (which, strict, n, s, t, i)
-    cached = _bc_memo.get(key)
-    if cached is not None:
-        return cached
+@cache
+def _long_path_seq(n: int, s: int, t: int) -> Seq:
+    for size in range(3, n):  # L(size, 0, u) for u <= s+t, smallest first
+        for u in range(s + t + 1):
+            _long_path_step(size, 0, u)
+    for tt in range(t + 1):
+        _long_path_step(n, s, tt)
+    return _long_path_step(n, s, t)
+
+
+def long_path_rec(n: int, s: int, t: int, i: int) -> int:
+    """Betti number beta_i of long(n-1)^s * long(n)^t; see long_path_seq.
+
+    Negative s, t or i give 0.
+    """
+    return _at(long_path_seq(n, s, t), i)
+
+
+# ---------------------------------------------------------------------------
+# Mutual mixed/corner recursion.
+# ---------------------------------------------------------------------------
+
+def _reduced_power_seq(n: int, s: int) -> Seq:
+    """t = 0 leaf: the pd + 1 nonzero closed-form terms of reduced(n)^s."""
+    pd = reduced_power_pd_reg(n, s)[0]
+    return _strip(reduced_power_betti(n, s, i) for i in range(pd + 1))
+
+
+@cache
+def _chain_terms(which: str, s: int, t: int, strict: bool):
+    """Members one size down that a chain step at t >= 1 sums.
+
+    Returns (head, pairs): the step's sequence is head + (1+z) * sum(pairs),
+    each member given as (family, s, t).
+    """
+    if which == "mixed":
+        return ("mixed", s + t, 0), tuple(("corner", a, b) for a, b in mixed_chain_pairs(s, t))
+    return ("mixed", s, 0), tuple(
+        ("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict))
+
+
+@cache
+def _chain_step(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
+    """One step of the mutual recursion.  The members one size down come
+    from this cache; _chain_seq fills it bottom-up so the stack stays flat."""
+    if s < 0 or t < 0:
+        return ()
     if n == 2:
-        if which == "mixed":
-            val = 1 if i == 0 else 0
-        else:  # (x1,x2)^t regardless of s
-            val = t + 1 if i == 0 else (t if i == 1 else 0)
+        seq = (1,) if which == "mixed" else _strip((t + 1, t))  # corner: (x1,x2)^t
     elif t == 0:
-        val = reduced_power_betti(n, s, i)
-    elif which == "mixed":
-        val = _bc("mixed", n - 1, s + t, 0, i, strict)
-        for a, b in mixed_chain_pairs(s, t):
-            val += _bc("corner", n - 1, a, b, i, strict) + _bc("corner", n - 1, a, b, i - 1, strict)
+        seq = _reduced_power_seq(n, s)
     else:
-        val = _bc("mixed", n - 1, s, 0, i, strict)
-        for a, b in corner_chain_pairs(s, t, strict=strict):
-            val += _bc("mixed", n - 1, a, b, i, strict) + _bc("mixed", n - 1, a, b, i - 1, strict)
-    if val < 0:
-        raise ArithmeticError(
-            f"negative value in {which} recursion at {(n, s, t, i)}: {val}")
-    _bc_memo[key] = val
-    return val
+        (hw, ha, hb), pairs = _chain_terms(which, s, t, strict)
+        seq = _add(_chain_step(hw, n - 1, ha, hb, strict),
+                   _one_plus_z(_add(*(_chain_step(w, n - 1, a, b, strict)
+                                      for w, a, b in pairs))))
+    for i, value in enumerate(seq):
+        if value < 0:
+            raise ArithmeticError(
+                f"negative value in {which} recursion at {(n, s, t, i)}: {value}")
+    return seq
 
 
-def mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
-    """Betti number of reduced^s * full^t via the mutual chain recursion."""
+@cache
+def _chain_seq(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
+    levels = [{(which, s, t)}]  # members needed at sizes n, n-1, ...
+    for _ in range(n, 2, -1):
+        below = set()
+        for w, a, b in levels[-1]:
+            if a >= 0 and b > 0:
+                head, pairs = _chain_terms(w, a, b, strict)
+                below.add(head)
+                below.update(pairs)
+        if not below:
+            break
+        levels.append(below)
+    for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
+        for w, a, b in members:
+            _chain_step(w, size, a, b, strict)
+    return _chain_step(which, n, s, t, strict)
+
+
+def mixed_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:
+    """Betti sequence of reduced^s * full^t via the mutual chain recursion.
+
+    Negative s or t give the zero sequence ().
+    """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _bc("mixed", n, s, t, i, strict_delta)
+    return _chain_seq("mixed", n, s, t, bool(strict_delta))
 
 
-def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
-    """Betti number of reduced^s * (x1,xn)^t via the mutual chain recursion.
+def corner_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:
+    """Betti sequence of reduced^s * (x1,xn)^t via the mutual chain recursion.
 
     strict_delta switches the corner-chain multiset to its closed form,
     which over-counts by one at s = 0; exposed to demonstrate that the
@@ -98,7 +199,17 @@ def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> in
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _bc("corner", n, s, t, i, strict_delta)
+    return _chain_seq("corner", n, s, t, bool(strict_delta))
+
+
+def mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+    """Betti number beta_i of reduced^s * full^t; see mixed_seq."""
+    return _at(mixed_seq(n, s, t, strict_delta), i)
+
+
+def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+    """Betti number beta_i of reduced^s * (x1,xn)^t; see corner_seq."""
+    return _at(corner_seq(n, s, t, strict_delta), i)
 
 
 def composed_support(s: int, t: int, strict_delta: bool = False) -> Counter:
@@ -149,18 +260,27 @@ def _route(route: str):
     raise ValueError(f"unknown route {route!r} (expected 'recursion' or 'closed')")
 
 
+def _lift(f, power: int):
+    """Entry i of (1+z)^power times the sequence of f, one entry at a time.
+
+    Entry-wise because the closed route evaluates single entries: building
+    whole sequences would cost it i+1 terms per call instead of power+1.
+    """
+    weights = (1,)
+    for _ in range(power):
+        weights = _one_plus_z(weights)
+
+    def lifted(n, s, t, i):
+        return sum(w * f(n, s, t, i - k) for k, w in enumerate(weights))
+    return lifted
+
+
 def shift_residual(n: int, s: int, i: int, route: str = "recursion") -> int:
     """Residual of the t = 1 recurrence stepping s to s+1 (hypotheses n >= 4, s >= 0)."""
     if n < 4 or s < 0:
         raise ValueError("hypotheses need n >= 4 and s >= 0")
     f = _route(route)
-
-    def tilde(nn, ss, tt, ii):
-        return f(nn, ss, tt, ii) + f(nn, ss, tt, ii - 1)
-
-    def dbl(nn, ss, tt, ii):
-        return f(nn, ss, tt, ii) + 2 * f(nn, ss, tt, ii - 1) + f(nn, ss, tt, ii - 2)
-
+    tilde, dbl = _lift(f, 1), _lift(f, 2)
     lhs = f(n, s + 1, 1, i)
     rhs = (f(n, s, 1, i)
            + f(n - 1, s + 2, 0, i) - f(n - 1, s + 1, 0, i)
@@ -175,10 +295,7 @@ def exchange_residual(n: int, s: int, t: int, i: int, route: str = "recursion") 
     if n < 4 or s < 0 or t < 2:
         raise ValueError("hypotheses need n >= 4, s >= 0 and t >= 2")
     f = _route(route)
-
-    def dbl(nn, ss, tt, ii):
-        return f(nn, ss, tt, ii) + 2 * f(nn, ss, tt, ii - 1) + f(nn, ss, tt, ii - 2)
-
+    dbl = _lift(f, 2)
     lhs = f(n, s, t, i) - f(n, s + 1, t - 1, i)
     if s <= t:
         rhs = sum(dbl(n - 2, 0, j, i) for j in range(s + 1))

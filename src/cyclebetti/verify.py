@@ -112,48 +112,45 @@ class FamilyCase:
         return None
 
 
-def _strip(seq: list[int]) -> list[int]:
+def _strip(seq) -> list[int]:
+    seq = list(seq)
     while seq and seq[-1] == 0:
         seq.pop()
     return seq
+
+
+# (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
+# The closed and series routes evaluate i = 0..n one entry at a time; that is
+# exhaustive, since the projective dimension is below the n variables.
+_ROUTE_TOTALS = {
+    ("long-power", "closed"):
+        lambda n, s, t, strict: [formulas.long_path_betti(n, t, i) for i in range(n + 1)],
+    ("long-power", "recursion"): lambda n, s, t, strict: recursion.long_path_seq(n, 0, t),
+    ("long-power", "series"):
+        lambda n, s, t, strict: [formulas.series_betti(n, t, i) for i in range(n + 1)],
+    ("mixed", "closed"):
+        lambda n, s, t, strict: [formulas.short_path_betti(n, s, t, i) for i in range(n + 1)],
+    ("mixed", "recursion"): lambda n, s, t, strict: recursion.mixed_seq(n, s, t, strict),
+    ("corner", "recursion"): lambda n, s, t, strict: recursion.corner_seq(n, s, t, strict),
+}
 
 
 def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
                  strict_delta: bool = False, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """Total Betti sequence (i = 0, 1, ...) of the case by the given route.
 
-    Routes: "oracle", "closed", "recursion", "series".  Projective dimension
-    of an ideal is below the ambient variable count, so scanning i through
-    the ambient is exhaustive for the non-oracle routes.
+    Routes: "oracle", "closed", "recursion", "series".  Each is one call:
+    the oracle's table, the recursion's cached sequence, or the closed and
+    series forms over i = 0..n.  Trailing zeros are stripped.
     """
-    n, s, t = case.n, case.s, case.t
     if route == "oracle":
         return _strip(oracle_table(case.ideal(), char, cap).totals())
-    span = range(n + 1)
-    if case.kind == "long-power":
-        if route == "closed":
-            vals = [formulas.long_path_betti(n, t, i) for i in span]
-        elif route == "recursion":
-            vals = [recursion.long_path_rec(n, 0, t, i) for i in span]
-        elif route == "series":
-            vals = [formulas.series_betti(n, t, i) for i in span]
-        else:
-            raise ValueError(f"route {route!r} not applicable to {case.kind}")
-    elif case.kind == "mixed":
-        if route == "closed":
-            vals = [formulas.short_path_betti(n, s, t, i) for i in span]
-        elif route == "recursion":
-            vals = [recursion.mixed_rec(n, s, t, i, strict_delta) for i in span]
-        else:
-            raise ValueError(f"route {route!r} not applicable to {case.kind}")
-    elif case.kind == "corner":
-        if route == "recursion":
-            vals = [recursion.corner_rec(n, s, t, i, strict_delta) for i in span]
-        else:
-            raise ValueError(f"route {route!r} not applicable to corner families")
-    else:
-        raise ValueError(f"unknown family kind {case.kind!r}")
-    return _strip(vals)
+    sequence = _ROUTE_TOTALS.get((case.kind, route))
+    if sequence is None:
+        if case.kind not in ("long-power", "mixed", "corner"):
+            raise ValueError(f"unknown family kind {case.kind!r}")
+        raise ValueError(f"route {route!r} not applicable to {case.kind} families")
+    return _strip(sequence(case.n, case.s, case.t, strict_delta))
 
 
 def _compare_totals(pairs):

@@ -252,6 +252,35 @@ class TestPdCommand:
         code, out, _ = run_cli(capsys, "pd", "Jc(27,25)^4", "--route", "closed")
         assert code == 0 and out.strip() == "8"
 
+    @pytest.mark.parametrize("expr, pd", [("J(7)^3", "3"), ("I(6)^2", "4"),
+                                          ("Jc(9,8)^5", "5")])
+    def test_closed_uses_family_pd(self, capsys, expr, pd):
+        for route in ("closed", "recursive"):
+            code, out, _ = run_cli(capsys, "pd", expr, "--route", route)
+            assert code == 0 and out.strip() == pd, route
+
+    def test_closed_refuses_corner(self, capsys):
+        code, out, err = run_cli(capsys, "pd", "J(4) * m(x1,x4)^2", "--route", "closed")
+        assert code == 2 and out == ""
+        assert err == ("error: no closed pd for corner families; "
+                       "use --route recursive or oracle\n")
+
+
+class TestLongRecursionCommand:
+    def test_recursion_table_at_n400(self):
+        # the per-entry long-path recursion overflowed the interpreter stack here
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        outputs = []
+        for route in ("recursion", "formula"):
+            done = subprocess.run(
+                [sys.executable, "-m", "cyclebetti", "table", "Jc(400,399)^2",
+                 "--route", route], env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == ""
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].split() == ["total:", "80200", "159600", "79401"]
+
 
 class TestGfCommand:
     def test_columns(self, capsys):

@@ -64,7 +64,41 @@ class TestReducedPowerBetti:
                 assert totals == want, (n, s)
 
 
+def literal_short_path_parts(n, s, t, i):
+    """The closed form's three pieces summed over every j, as first written."""
+    k = n // 2
+    plus = sum(
+        binomial(n, i - 2 * j)
+        * (binomial(n + s + t - 1 - i + j, n - 1) - binomial(n + s - 1 - i + j, n - 1))
+        for j in range(i // 2 + 1))
+    if n % 2:
+        minus = sum(
+            binomial(n, i - 1 - 2 * j)
+            * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
+            for j in range((i - 1) // 2 + 1))
+    else:
+        minus = sum(
+            binomial(n, i - 2 * j)
+            * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
+            for j in range(i // 2 + 1))
+    const = binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)
+    return plus, minus, const
+
+
 class TestShortPathClosedForm:
+    def test_restricted_sums_equal_literal_sums(self):
+        # every parameter sign, including the negative s, t and i the
+        # docstring promises to evaluate as written
+        for n in range(2, 30):
+            for s in range(-3, 6):
+                for t in range(-3, 6):
+                    for i in range(-3, n + 4):
+                        assert short_path_betti_parts(n, s, t, i) == \
+                            literal_short_path_parts(n, s, t, i), (n, s, t, i)
+        for i in (0, 1, 2, 3, 4, 5, 204, 407, 408):
+            assert short_path_betti_parts(408, 1, 1, i) == \
+                literal_short_path_parts(408, 1, 1, i), i
+
     def test_whole_ring(self):
         for s in range(4):
             for t in range(4):

@@ -15,6 +15,7 @@ from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
                                _koszul_complex, _rank_mod_p, check_prime,
                                graded_betti, homology_dims, lcm_lattice,
                                upper_koszul)
+from cyclebetti.verify import FamilyCase
 
 
 def ideal(*gens_exps):
@@ -260,6 +261,19 @@ def small_ideals(draw):
     return MonomialIdeal([Monomial(g) for g in gens], n), gens
 
 
+@st.composite
+def family_members(draw):
+    """Small mixed, corner and long-power members (n <= 6, s + t <= 3),
+    never the unit ideal."""
+    kind = draw(st.sampled_from(["mixed", "corner", "long-power"]))
+    n = draw(st.integers(3, 6))
+    if kind == "long-power":
+        return FamilyCase(kind, n, 0, draw(st.integers(1, 3)))
+    s = draw(st.integers(0, 2))
+    t = draw(st.integers(1 if s == 0 else 0, 3 - s))
+    return FamilyCase(kind, n, s, t)
+
+
 def dense_rank_mod_p(rows, p):
     """Reference rank: row reduction of a dense list-of-lists matrix."""
     a = [[v % p for v in row] for row in rows]
@@ -320,3 +334,9 @@ class TestProperties:
         drawn_rows = np.array(shuffled, dtype=np.int64)
         for b in lcm_lattice(I):
             assert _koszul_complex(drawn_rows, b) == _koszul_complex(minimal, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(family_members())
+    def test_family_tables_do_not_depend_on_characteristic(self, case):
+        ideal = case.ideal()
+        assert graded_betti(ideal, 2).entries == graded_betti(ideal, 32003).entries

@@ -1,14 +1,102 @@
+import inspect
 import random
+import re
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclebetti.families import (corner_power, mixed_power, support_envelope)
+from cyclebetti import recursion
+from cyclebetti.families import (corner_chain_pairs, corner_power,
+                                 mixed_chain_pairs, mixed_power,
+                                 support_envelope)
 from cyclebetti.formulas import (long_path_betti, reduced_power_betti,
                                  short_path_betti, short_path_pd_reg)
 from cyclebetti.oracle import graded_betti
 from cyclebetti.recursion import (clear_caches, composed_support, corner_rec,
-                                  exchange_residual, long_path_rec, mixed_rec,
+                                  corner_seq, exchange_residual, long_path_rec,
+                                  long_path_seq, mixed_rec, mixed_seq,
                                   shift_residual, short_path_pd_rec)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-entry recursion as it was before sequences, one memo
+# entry per (n, s, t, i).  Only the names carry a ref_ prefix.
+# ---------------------------------------------------------------------------
+
+_long_memo: dict[tuple[int, int, int, int], int] = {}
+_bc_memo: dict[tuple, int] = {}
+
+
+def ref_long_path_rec(n: int, s: int, t: int, i: int) -> int:
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if s < 0 or t < 0 or i < 0:
+        return 0
+    key = (n, s, t, i)
+    cached = _long_memo.get(key)
+    if cached is not None:
+        return cached
+    if n == 2:
+        val = t + 1 if i == 0 else (t if i == 1 else 0)
+    elif t == 0:
+        val = (1 if i == 0 else 0) if s == 0 else ref_long_path_rec(n - 1, 0, s, i)
+    else:
+        val = (ref_long_path_rec(n, s, 0, i)
+               + ref_long_path_rec(n, s + 1, t - 1, i)
+               + ref_long_path_rec(n, s, 0, i - 1))
+    _long_memo[key] = val
+    return val
+
+
+def ref_bc(which: str, n: int, s: int, t: int, i: int, strict: bool) -> int:
+    if s < 0 or t < 0 or i < 0:
+        return 0
+    key = (which, strict, n, s, t, i)
+    cached = _bc_memo.get(key)
+    if cached is not None:
+        return cached
+    if n == 2:
+        if which == "mixed":
+            val = 1 if i == 0 else 0
+        else:  # (x1,x2)^t regardless of s
+            val = t + 1 if i == 0 else (t if i == 1 else 0)
+    elif t == 0:
+        val = reduced_power_betti(n, s, i)
+    elif which == "mixed":
+        val = ref_bc("mixed", n - 1, s + t, 0, i, strict)
+        for a, b in mixed_chain_pairs(s, t):
+            val += ref_bc("corner", n - 1, a, b, i, strict) + ref_bc("corner", n - 1, a, b, i - 1, strict)
+    else:
+        val = ref_bc("mixed", n - 1, s, 0, i, strict)
+        for a, b in corner_chain_pairs(s, t, strict=strict):
+            val += ref_bc("mixed", n - 1, a, b, i, strict) + ref_bc("mixed", n - 1, a, b, i - 1, strict)
+    if val < 0:
+        raise ArithmeticError(
+            f"negative value in {which} recursion at {(n, s, t, i)}: {val}")
+    _bc_memo[key] = val
+    return val
+
+
+def ref_mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return ref_bc("mixed", n, s, t, i, strict_delta)
+
+
+def ref_corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+    if n < 2:
+        raise ValueError("need n >= 2")
+    return ref_bc("corner", n, s, t, i, strict_delta)
+
+
+REFERENCE = {
+    "long-power": (lambda n, s, t, i, strict: ref_long_path_rec(n, s, t, i),
+                   lambda n, s, t, i, strict: long_path_rec(n, s, t, i)),
+    "mixed": (ref_mixed_rec, mixed_rec),
+    "corner": (ref_corner_rec, corner_rec),
+}
 
 
 class TestLongPathRec:
@@ -165,3 +253,64 @@ class TestMainIdentity:
                     totals = graded_betti(mixed_power(n, s, t)).totals()
                     want = [mixed_rec(n, s, t, i) for i in range(len(totals))]
                     assert totals == want, (n, s, t)
+
+
+class TestSequenceRecursion:
+    """The sequence-valued recursions against the per-entry reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(REFERENCE)), n=st.integers(-1, 8),
+           s=st.integers(-2, 5), t=st.integers(-2, 5), strict=st.booleans())
+    def test_equals_per_entry_reference(self, kind, n, s, t, strict):
+        ref, new = REFERENCE[kind]
+        if n < 2:
+            for fn in (ref, new):
+                with pytest.raises(ValueError):
+                    fn(n, s, t, 0, strict)
+            return
+        for i in range(-2, n + 3):
+            assert new(n, s, t, i, strict) == ref(n, s, t, i, strict), (kind, n, s, t, i)
+
+    def test_sequences_are_stripped_lookups(self):
+        for n in range(2, 8):
+            for s in range(4):
+                for t in range(4):
+                    for seq, rec in ((long_path_seq(n, s, t), long_path_rec),
+                                     (mixed_seq(n, s, t), mixed_rec),
+                                     (corner_seq(n, s, t), corner_rec)):
+                        assert isinstance(seq, tuple) and seq and seq[-1] != 0
+                        assert list(seq) == [rec(n, s, t, i) for i in range(len(seq))]
+                        assert rec(n, s, t, len(seq)) == 0
+        assert long_path_seq(4, -1, 2) == mixed_seq(4, 1, -1) == corner_seq(4, -1, 1) == ()
+
+    def test_long_path_n1000_matches_closed_form(self):
+        # the per-entry recursion overflowed the stack from about n = 400
+        for i in range(1003):
+            assert long_path_rec(1000, 0, 2, i) == long_path_betti(1000, 2, i), i
+
+    def test_stack_does_not_grow_with_n(self):
+        clear_caches()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            long_path_seq(700, 0, 3)
+            mixed_seq(90, 12, 12)
+            corner_seq(90, 12, 12)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert long_path_seq(700, 0, 3) == tuple(
+            long_path_betti(700, 3, i) for i in range(4))
+        assert list(mixed_seq(90, 12, 12)) == [
+            short_path_betti(90, 12, 12, i) for i in range(len(mixed_seq(90, 12, 12)))]
+
+    def test_negative_entry_raises(self, monkeypatch):
+        clear_caches()
+        monkeypatch.setattr(recursion, "_reduced_power_seq", lambda n, s: (1, -1))
+        try:
+            with pytest.raises(ArithmeticError, match=re.escape(
+                    "negative value in mixed recursion at (4, 1, 0, 1): -1")):
+                mixed_rec(4, 1, 0, 0)
+            with pytest.raises(ArithmeticError, match="negative value"):
+                corner_rec(5, 1, 1, 0)
+        finally:
+            clear_caches()
