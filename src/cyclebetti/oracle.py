@@ -9,12 +9,12 @@ over a prime field, and accumulate into a graded table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .monomials import Monomial, MonomialIdeal
+from .monomials import _CHUNK, Monomial, MonomialIdeal
 
 DEFAULT_PRIME = 32003
 DEFAULT_LATTICE_CAP = 200_000
@@ -61,30 +61,67 @@ def check_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
+def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, sorted.  (np.unique would import
+    numpy.ma, a megabyte of modules, on first use.)"""
+    keys = np.sort(keys)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = True
+    fresh[1:] = keys[1:] != keys[:-1]
+    return keys[fresh]
+
+
+def _check_cap(size: int, cap: int) -> None:
+    if size > cap:
+        raise LatticeCapError(f"lcm lattice reached {size} elements, past its cap of {cap}")
+
+
+def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
+    """Every join of a nonempty set of rows of `matrix`, sorted lexicographically.
+
+    Each frontier batch is joined with every generator in one broadcast
+    maximum, in the matrix's own dtype and at most `_CHUNK` candidate rows at
+    a time.  Rows are compared as single void values over their bytes, kept
+    in one sorted array of the lattice so far.  The cap is checked after
+    every batch, before its new rows are inserted.
+    """
+    gens = np.ascontiguousarray(matrix)
+    count, ambient = gens.shape
+    row = np.dtype((np.void, gens.dtype.itemsize * ambient))
+    lattice = _sorted_distinct(gens.view(row).ravel())
+    _check_cap(len(lattice), cap)
+    frontier = gens
+    step = max(1, _CHUNK // count)
+    while len(frontier):
+        fresh = []
+        for lo in range(0, len(frontier), step):
+            joins = np.maximum(frontier[lo:lo + step, None, :], gens[None, :, :])
+            joins = _sorted_distinct(joins.reshape(-1, ambient).view(row).ravel())
+            at = np.searchsorted(lattice, joins)
+            known = at < len(lattice)
+            known[known] = lattice[at[known]] == joins[known]
+            new = joins[~known]
+            _check_cap(len(lattice) + len(new), cap)
+            lattice = np.insert(lattice, at[~known], new)
+            fresh.append(new)
+        frontier = np.concatenate(fresh).view(gens.dtype).reshape(-1, ambient)
+    rows = lattice.view(gens.dtype).reshape(-1, ambient)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[int, ...]]:
     """All joins (componentwise maxima) of nonempty sets of generator degrees.
 
     Returned sorted, so iteration order is deterministic.  Raises
     LatticeCapError beyond `cap` elements.
     """
+    _check_nontrivial(ideal)
+    return [tuple(row) for row in _lattice_rows(ideal.matrix(), cap).tolist()]
+
+
+def _check_nontrivial(ideal: MonomialIdeal) -> None:
     if ideal.is_zero() or ideal.is_unit():
         raise ValueError("lcm lattice needs a nonzero, non-unit ideal")
-    gens = [tuple(row) for row in ideal.matrix().tolist()]
-    lattice = set(gens)
-    frontier = set(gens)
-    while frontier:
-        fresh = set()
-        for b in frontier:
-            for g in gens:
-                join = tuple(map(max, b, g))
-                if join not in lattice:
-                    lattice.add(join)
-                    fresh.add(join)
-                    if len(lattice) > cap:
-                        raise LatticeCapError(
-                            f"lcm lattice exceeds cap of {cap} elements")
-        frontier = fresh
-    return sorted(lattice)
 
 
 @dataclass
@@ -104,44 +141,36 @@ class SimplicialComplex:
         return {d: len(fs) for d, fs in self.faces.items()}
 
 
-@lru_cache(maxsize=64)
-def _face_layout(support: tuple[int, ...]):
-    """Every subset of `support` as a bitmask over its positions, ordered by
-    size and then as `combinations` yields them, with the size boundaries and
-    the subsets themselves as vertex tuples in the same order."""
+@cache
+def _face_layout(k: int):
+    """Every subset of positions 0..k-1 as a bitmask, ordered by size and
+    then as `combinations` yields them, with the size boundaries and the
+    subsets themselves as position tuples in the same order."""
     masks, bounds, subsets = [], [0], []
-    for size in range(len(support) + 1):
-        for positions in combinations(range(len(support)), size):
+    for size in range(k + 1):
+        for positions in combinations(range(k), size):
             masks.append(sum(1 << i for i in positions))
-            subsets.append(tuple(support[i] for i in positions))
+            subsets.append(positions)
         bounds.append(len(masks))
     return np.array(masks, dtype=np.int64), bounds, subsets
 
 
-def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
-    """Upper Koszul complex at bexp of the ideal generated by gen_rows.
+def _facet_complex(facets, support: tuple[int, ...]) -> SimplicialComplex:
+    """The downward closure of facet bitmasks over the positions of `support`.
 
-    A subset F of supp(b) is a face when b - e_F is divisible by some
-    generator g, that is when g | b and F lies in the facet
-    {v in supp(b) : g_v < b_v}.  The facets are scattered into a table
-    indexed by bitmask and closed downward one vertex at a time.
+    The facets are scattered into a table indexed by bitmask and closed
+    downward one position at a time; faces come out grouped by size in
+    `combinations` order, as tuples of the support's vertices.
     """
-    b_arr = np.asarray(bexp, dtype=np.int64)
-    support = tuple(v for v, e in enumerate(bexp) if e > 0)
     k = len(support)
-    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
-    if not len(rows):
-        return SimplicialComplex(support, {})
-    columns = list(support)
-    strict = rows[:, columns] < b_arr[columns]
     is_face = np.zeros(1 << k, dtype=bool)
-    is_face[strict @ (1 << np.arange(k, dtype=np.int64))] = True
+    is_face[facets] = True
     cube = is_face.reshape((2,) * k)
     for axis in range(k):
         lower = (slice(None),) * axis + (0,)
         upper = (slice(None),) * axis + (1,)
         cube[lower] |= cube[upper]
-    masks, bounds, subsets = _face_layout(support)
+    masks, bounds, subsets = _face_layout(k)
     hits = np.flatnonzero(is_face[masks])
     cuts = np.searchsorted(hits, bounds).tolist()
     hits = hits.tolist()
@@ -149,8 +178,26 @@ def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialCo
     for size in range(k + 1):
         level = hits[cuts[size]:cuts[size + 1]]
         if level:
-            faces[size - 1] = [subsets[j] for j in level]
+            faces[size - 1] = [tuple(support[i] for i in subsets[j]) for j in level]
     return SimplicialComplex(support, faces)
+
+
+def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
+    """Upper Koszul complex at bexp of the ideal generated by gen_rows.
+
+    A subset F of supp(b) is a face when b - e_F is divisible by some
+    generator g, that is when g | b and F lies in the facet
+    {v in supp(b) : g_v < b_v}.
+    """
+    b_arr = np.asarray(bexp, dtype=np.int64)
+    support = tuple(v for v, e in enumerate(bexp) if e > 0)
+    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
+    if not len(rows):
+        return SimplicialComplex(support, {})
+    columns = list(support)
+    strict = rows[:, columns] < b_arr[columns]
+    return _facet_complex(strict @ (1 << np.arange(len(support), dtype=np.int64)),
+                          support)
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -277,17 +324,73 @@ class BettiTable:
                           self.ambient, self.char)
 
 
+def _facet_masks(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(points, generators) int64 array: the facet {v in supp b : g_v < b_v}
+    as a bitmask over the positions of supp(b) where g divides b, else -1.
+
+    Built one variable at a time, so no (points, generators, variables)
+    array is ever allocated.
+    """
+    inside = points > 0
+    # the bit of vertex v is its position within supp(b)
+    bits = np.where(inside, np.left_shift(1, np.cumsum(inside, axis=1) - 1), 0)
+    masks = np.zeros((len(points), len(gens)), dtype=np.int64)
+    divides = np.ones(masks.shape, dtype=bool)
+    strict = np.empty(masks.shape, dtype=bool)
+    for g_col, b_col, bit in zip(gens.T, points.T[:, :, None], bits.T[:, :, None]):
+        divides &= g_col <= b_col
+        np.add(masks, bit, out=masks, where=np.less(g_col, b_col, out=strict))
+    masks[~divides] = -1
+    return masks
+
+
+def _maximal(masks) -> tuple[int, ...]:
+    """The inclusion-maximal bitmasks among masks sorted in decreasing order.
+
+    A proper superset of a mask is numerically larger, so it comes first and
+    each mask need only be tested against the maximal ones kept so far."""
+    kept: list[int] = []
+    for mask in masks:
+        for other in kept:
+            if mask & other == mask:
+                break
+        else:
+            kept.append(mask)
+    return tuple(kept)
+
+
 def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                  cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
-    """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p)."""
+    """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
+
+    The upper Koszul complex at a lattice point b is the downward closure
+    of its facets, one bitmask over the positions of supp(b) per generator
+    dividing b.  Many lattice points share a facet pattern, so homology is
+    computed once per (|supp b|, maximal facets) within this call.
+    """
     check_prime(p)
-    lattice = lcm_lattice(ideal, cap)
-    gen_rows = ideal.matrix()
+    _check_nontrivial(ideal)
+    gens = ideal.matrix()
+    lattice = _lattice_rows(gens, cap)
+    dims_by_pattern: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
-    for bexp in lattice:
-        dims = homology_dims(_koszul_complex(gen_rows, bexp), p)
-        degree = sum(bexp)
-        for i, h in enumerate(dims):
-            if h:
-                entries[(i, degree)] = entries.get((i, degree), 0) + h
+    step = max(1, _CHUNK // len(gens))
+    for lo in range(0, len(lattice), step):
+        points = lattice[lo:lo + step]
+        masks = _facet_masks(gens, points)
+        counts = (masks >= 0).sum(axis=1).tolist()
+        masks.sort(axis=1)
+        sizes = (points > 0).sum(axis=1).tolist()
+        degrees = points.sum(axis=1, dtype=np.int64).tolist()
+        for k, row, count, degree in zip(sizes, masks, counts, degrees):
+            # the facets of the generators dividing b, largest mask first
+            facets = dict.fromkeys(row[::-1][:count].tolist())
+            key = (k, _maximal(facets))
+            dims = dims_by_pattern.get(key)
+            if dims is None:
+                dims = homology_dims(_facet_complex(list(key[1]), tuple(range(k))), p)
+                dims_by_pattern[key] = dims
+            for i, h in enumerate(dims):
+                if h:
+                    entries[(i, degree)] = entries.get((i, degree), 0) + h
     return BettiTable(entries, ideal.ambient, p)

@@ -1,14 +1,17 @@
 import random
+import re
 import time
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclebetti.families import (cycle_path_ideal, long_path_ideal,
                                  mixed_power, short_path_ideal)
+from cyclebetti import oracle
+from cyclebetti.cli import build_ideal
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
 from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
                                SimplicialComplex, _is_prime,
@@ -45,6 +48,28 @@ class TestLcmLattice:
         with pytest.raises(LatticeCapError):
             lcm_lattice(long_path_ideal(6) ** 2, cap=10)
 
+    def test_cap_message_names_cap_and_size_reached(self):
+        with pytest.raises(LatticeCapError) as caught:
+            lcm_lattice(mixed_power(8, 1, 2), cap=100)
+        reached = int(re.search(r"reached (\d+) elements", str(caught.value))[1])
+        assert reached > 100 and "cap of 100" in str(caught.value)
+
+    @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
+                                   mixed_power(5, 1, 1)])
+    def test_cap_is_inclusive(self, I):
+        size = len(lcm_lattice(I))
+        assert len(lcm_lattice(I, cap=size)) == size
+        with pytest.raises(LatticeCapError):
+            lcm_lattice(I, cap=size - 1)
+
+    @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
+                                   mixed_power(6, 1, 2), cycle_path_ideal(9, 2),
+                                   cycle_path_ideal(5, 2) * Monomial((255, 0, 255, 1, 254))])
+    def test_matches_frontier_loop(self, I):
+        # the shifted cycle ideal has two-byte exponents across 255 -> 256,
+        # where byte order and numeric order differ
+        assert lcm_lattice(I) == frontier_lattice(I)
+
     def test_join_closed(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -57,6 +82,24 @@ class TestLcmLattice:
             for a in lattice:
                 for b in lattice:
                     assert tuple(map(max, a, b)) in lattice
+
+
+def frontier_lattice(ideal):
+    """Reference lattice: join every frontier element with every generator
+    in pure Python until no new join appears."""
+    gens = [g.exponents for g in ideal.gens]
+    lattice = set(gens)
+    frontier = set(gens)
+    while frontier:
+        fresh = set()
+        for b in frontier:
+            for g in gens:
+                join = tuple(map(max, b, g))
+                if join not in lattice:
+                    lattice.add(join)
+                    fresh.add(join)
+        frontier = fresh
+    return sorted(lattice)
 
 
 class TestUpperKoszul:
@@ -198,6 +241,62 @@ class TestGradedBetti:
             assert graded_betti(I, 2).entries == graded_betti(I, 32003).entries
 
 
+def count_homology_calls(monkeypatch):
+    """Route oracle.homology_dims through a counter; returns the count list."""
+    calls = [0]
+    real = oracle.homology_dims
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(oracle, "homology_dims", counted)
+    return calls
+
+
+def facet_patterns(I):
+    """Distinct (|supp b|, maximal faces as position masks) over the lattice,
+    read off the upper Koszul complexes themselves."""
+    patterns = set()
+    for b in lcm_lattice(I):
+        cx = upper_koszul(I, Monomial(b))
+        position = {v: j for j, v in enumerate(cx.vertices)}
+        faces = [set(f) for level in cx.faces.values() for f in level]
+        patterns.add((len(cx.vertices), frozenset(
+            sum(1 << position[v] for v in f)
+            for f in faces if not any(f < other for other in faces))))
+    return patterns
+
+
+class TestPatternMemo:
+    MAXIMAL_POWER = "m(x1,x2,x3,x4)^6"
+
+    def test_one_homology_per_pattern(self, monkeypatch):
+        I = build_ideal(self.MAXIMAL_POWER)
+        calls = count_homology_calls(monkeypatch)
+        graded_betti(I, 32003)
+        assert len(lcm_lattice(I)) == 2275
+        assert calls[0] <= 200
+        assert calls[0] == len(facet_patterns(I))
+
+    def test_no_state_survives_a_call(self, monkeypatch):
+        I = build_ideal(self.MAXIMAL_POWER)
+        calls = count_homology_calls(monkeypatch)
+        counts, tables = [], []
+        for _ in range(2):
+            calls[0] = 0
+            tables.append(graded_betti(I, 32003))
+            counts.append(calls[0])
+        assert tables[0] == tables[1]
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("I", [cycle_path_ideal(9, 2), mixed_power(6, 1, 2),
+                                   build_ideal("J(7)^2 * m(x1,x7)^3")])
+    def test_family_patterns(self, I, monkeypatch):
+        calls = count_homology_calls(monkeypatch)
+        graded_betti(I, 2)
+        assert calls[0] == len(facet_patterns(I))
+
+
 class TestBettiTable:
     def test_from_totals(self):
         table = BettiTable.from_totals([3, 2], 2, 3)
@@ -293,7 +392,49 @@ def dense_rank_mod_p(rows, p):
     return rank
 
 
+@st.composite
+def permuted_ideals(draw):
+    """Nonzero, non-unit ideals in at most 5 variables, exponents at most 3,
+    of any generator degrees, with their variables permuted."""
+    n = draw(st.integers(1, 5))
+    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    gens = draw(st.lists(exponent, min_size=1, max_size=7))
+    perm = draw(st.permutations(range(n)))
+    I = MonomialIdeal([Monomial(g) for g in gens], n)
+    J = MonomialIdeal([Monomial(g[v] for v in perm) for g in gens], n)
+    return I, J
+
+
+def pointwise_betti(I, p):
+    """Reference table: homology of the upper Koszul complex at every lattice
+    point, accumulated by total degree."""
+    entries = {}
+    for b in lcm_lattice(I):
+        for i, h in enumerate(homology_dims(upper_koszul(I, Monomial(b)), p)):
+            if h:
+                entries[(i, sum(b))] = entries.get((i, sum(b)), 0) + h
+    return entries
+
+
 class TestProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_ideals())
+    @example((ideal((3, 0, 0), (0, 2, 1), (1, 1, 1), (0, 0, 3)),
+              ideal((0, 0, 3), (2, 1, 0), (1, 1, 1), (0, 3, 0))))
+    def test_graded_betti_matches_pointwise_reference(self, drawn):
+        I, J = drawn
+        for p in (2, 32003):
+            table = graded_betti(I, p)
+            assert table.entries == pointwise_betti(I, p)
+            assert graded_betti(J, p) == table
+            assert pointwise_betti(J, p) == table.entries
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_ideals())
+    def test_lattice_matches_frontier_loop(self, drawn):
+        for I in drawn:
+            assert lcm_lattice(I) == frontier_lattice(I)
+
     @settings(max_examples=60, deadline=None)
     @given(small_ideals())
     def test_faces_match_definition(self, drawn):
