@@ -106,9 +106,6 @@ class Monomial:
             raise ValueError("cannot shrink ambient")
         return Monomial(self.exponents + (0,) * (ambient - self.ambient))
 
-    def sort_key(self):
-        return (self.degree, self.exponents)
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exponents == other.exponents
 

@@ -155,16 +155,26 @@ def _face_layout(k: int):
     return np.array(masks, dtype=np.int64), bounds, subsets
 
 
-def _facet_complex(facets, support: tuple[int, ...]) -> SimplicialComplex:
-    """The downward closure of facet bitmasks over the positions of `support`.
+def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
+    """Upper Koszul complex at bexp of the ideal generated by gen_rows.
 
-    The facets are scattered into a table indexed by bitmask and closed
+    A subset F of supp(b) is a face when b - e_F is divisible by some
+    generator g, that is when g | b and F lies in the facet
+    {v in supp(b) : g_v < b_v}.  The facets, as bitmasks over the positions
+    of supp(b), are scattered into a table indexed by bitmask and closed
     downward one position at a time; faces come out grouped by size in
     `combinations` order, as tuples of the support's vertices.
     """
+    b_arr = np.asarray(bexp, dtype=np.int64)
+    support = tuple(v for v, e in enumerate(bexp) if e > 0)
+    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
+    if not len(rows):
+        return SimplicialComplex(support, {})
     k = len(support)
+    columns = list(support)
+    strict = rows[:, columns] < b_arr[columns]
     is_face = np.zeros(1 << k, dtype=bool)
-    is_face[facets] = True
+    is_face[strict @ (1 << np.arange(k, dtype=np.int64))] = True
     cube = is_face.reshape((2,) * k)
     for axis in range(k):
         lower = (slice(None),) * axis + (0,)
@@ -180,24 +190,6 @@ def _facet_complex(facets, support: tuple[int, ...]) -> SimplicialComplex:
         if level:
             faces[size - 1] = [tuple(support[i] for i in subsets[j]) for j in level]
     return SimplicialComplex(support, faces)
-
-
-def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
-    """Upper Koszul complex at bexp of the ideal generated by gen_rows.
-
-    A subset F of supp(b) is a face when b - e_F is divisible by some
-    generator g, that is when g | b and F lies in the facet
-    {v in supp(b) : g_v < b_v}.
-    """
-    b_arr = np.asarray(bexp, dtype=np.int64)
-    support = tuple(v for v, e in enumerate(bexp) if e > 0)
-    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
-    if not len(rows):
-        return SimplicialComplex(support, {})
-    columns = list(support)
-    strict = rows[:, columns] < b_arr[columns]
-    return _facet_complex(strict @ (1 << np.arange(len(support), dtype=np.int64)),
-                          support)
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -238,33 +230,46 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
     return len(pivots)
 
 
+def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
+    """Dimensions of reduced homology over GF(p) of the complex whose faces
+    with s vertices are the bitmasks levels[s]; entry s of the result is dim
+    of reduced H_(s-1).
+
+    The boundary of a face f drops each set bit, with sign (-1) to the
+    number of set bits below it, so faces stay bitmasks throughout.
+    """
+    ranks = [0] * (len(levels) + 1)
+    for size in range(1, len(levels)):
+        index = {f: j for j, f in enumerate(levels[size - 1])}
+        if not index or not levels[size]:
+            continue
+        columns = []
+        for face in levels[size]:
+            column, rest, sign = {}, face, 1
+            while rest:
+                bit = rest & -rest
+                column[index[face ^ bit]] = sign
+                rest ^= bit
+                sign = -sign
+            columns.append(column)
+        ranks[size] = _rank_mod_p(columns, p)
+    return [len(level) - ranks[s] - ranks[s + 1] for s, level in enumerate(levels)]
+
+
 def homology_dims(cx: SimplicialComplex, p: int = DEFAULT_PRIME) -> list[int]:
     """Dimensions of reduced homology over GF(p), starting at degree -1.
 
     Entry k of the result is dim of reduced H_(k-1).  Conventions: the void
     complex gives [], and the complex whose only face is the empty face has
-    reduced H_(-1) of dimension 1.
+    reduced H_(-1) of dimension 1.  Faces are ranked as bitmasks over the
+    positions of cx.vertices, by the kernel `graded_betti` uses.
     """
     check_prime(p)
     if cx.is_void():
         return []
-    top = max(cx.faces)
-    ranks: dict[int, int] = {}
-    for d in range(0, top + 1):
-        upper = cx.faces.get(d, [])
-        lower = cx.faces.get(d - 1, [])
-        if not upper or not lower:
-            continue
-        index = {f: j for j, f in enumerate(lower)}
-        # boundary drops vertices in increasing position with alternating signs
-        columns = [{index[face[:k] + face[k + 1:]]: 1 if k % 2 == 0 else -1
-                    for k in range(len(face))} for face in upper]
-        ranks[d] = _rank_mod_p(columns, p)
-    dims = []
-    for d in range(-1, top + 1):
-        n_faces = len(cx.faces.get(d, []))
-        dims.append(n_faces - ranks.get(d, 0) - ranks.get(d + 1, 0))
-    return dims
+    bit = {v: 1 << j for j, v in enumerate(cx.vertices)}
+    return _mask_homology([[sum(bit[v] for v in face) for face in cx.faces.get(d, [])]
+                           for d in range(-1, max(cx.faces) + 1)], p)
 
 
 @dataclass
@@ -319,10 +324,6 @@ class BettiTable:
     def __eq__(self, other):
         return isinstance(other, BettiTable) and self.entries == other.entries
 
-    def shifted(self, by: int) -> "BettiTable":
-        return BettiTable({(i, j + by): v for (i, j), v in self.entries.items()},
-                          self.ambient, self.char)
-
 
 def _facet_masks(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(points, generators) int64 array: the facet {v in supp b : g_v < b_v}
@@ -359,6 +360,51 @@ def _maximal(masks) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def _strong_core(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """Maximal facets of the strong-collapse core of the complex generated
+    by these maximal facet bitmasks.
+
+    A vertex v is dominated when the facets containing v share another
+    vertex.  Deleting it keeps the homotopy type (Barmak and Minian, "Strong
+    homotopy types, nerves and collapses", 2012), so reduced homology over
+    every field is unchanged; dominated vertices are deleted until none is
+    left.  The core of a cone is a single vertex.
+    """
+    vertices = 0
+    for facet in facets:
+        vertices |= facet
+    collapsed = True
+    while collapsed:
+        collapsed = False
+        rest = vertices
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            shared = vertices
+            for facet in facets:
+                if facet & bit:
+                    shared &= facet
+            if shared != bit:
+                vertices ^= bit
+                facets = _maximal(sorted({f & ~bit for f in facets}, reverse=True))
+                collapsed = True
+    return facets
+
+
+def _faces(facets: tuple[int, ...]) -> list[list[int]]:
+    """Every submask of the facet bitmasks, grouped by popcount, ascending."""
+    faces = {0}
+    for facet in facets:
+        face = facet
+        while face:
+            faces.add(face)
+            face = (face - 1) & facet
+    levels: list[list[int]] = [[] for _ in range(max(f.bit_count() for f in facets) + 1)]
+    for face in sorted(faces):
+        levels[face.bit_count()].append(face)
+    return levels
+
+
 def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                  cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
     """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
@@ -366,7 +412,8 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     The upper Koszul complex at a lattice point b is the downward closure
     of its facets, one bitmask over the positions of supp(b) per generator
     dividing b.  Many lattice points share a facet pattern, so homology is
-    computed once per (|supp b|, maximal facets) within this call.
+    computed once per (|supp b|, maximal facets) within this call, on the
+    pattern's strong-collapse core; a core that is a cone adds nothing.
     """
     check_prime(p)
     _check_nontrivial(ideal)
@@ -388,7 +435,9 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
             key = (k, _maximal(facets))
             dims = dims_by_pattern.get(key)
             if dims is None:
-                dims = homology_dims(_facet_complex(list(key[1]), tuple(range(k))), p)
+                core = _strong_core(key[1])
+                is_cone = len(core) == 1 and core[0]
+                dims = [] if is_cone else _mask_homology(_faces(core), p)
                 dims_by_pattern[key] = dims
             for i, h in enumerate(dims):
                 if h:

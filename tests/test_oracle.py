@@ -14,10 +14,10 @@ from cyclebetti import oracle
 from cyclebetti.cli import build_ideal
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
 from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
-                               SimplicialComplex, _is_prime,
-                               _koszul_complex, _rank_mod_p, check_prime,
-                               graded_betti, homology_dims, lcm_lattice,
-                               upper_koszul)
+                               SimplicialComplex, _faces, _is_prime,
+                               _koszul_complex, _mask_homology, _rank_mod_p,
+                               _strong_core, check_prime, graded_betti,
+                               homology_dims, lcm_lattice, upper_koszul)
 from cyclebetti.verify import FamilyCase
 
 
@@ -225,7 +225,7 @@ class TestGradedBetti:
             for j in range(1, 4):
                 scaled = graded_betti(variable(j, 3) * I)
                 assert scaled.totals() == base.totals()
-                assert scaled.entries == base.shifted(1).entries
+                assert scaled.entries == {(i, d + 1): v for (i, d), v in base.entries.items()}
 
     def test_single_row_on_families(self):
         for I, degree in [
@@ -241,15 +241,15 @@ class TestGradedBetti:
             assert graded_betti(I, 2).entries == graded_betti(I, 32003).entries
 
 
-def count_homology_calls(monkeypatch):
-    """Route oracle.homology_dims through a counter; returns the count list."""
+def count_calls(monkeypatch, name):
+    """Route oracle.<name> through a counter; returns the count list."""
     calls = [0]
-    real = oracle.homology_dims
+    real = getattr(oracle, name)
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return real(*args, **kwargs)
-    monkeypatch.setattr(oracle, "homology_dims", counted)
+    monkeypatch.setattr(oracle, name, counted)
     return calls
 
 
@@ -267,20 +267,30 @@ def facet_patterns(I):
     return patterns
 
 
+def non_cone_patterns(patterns):
+    """The patterns whose strong-collapse core is not a single nonempty facet."""
+    cores = [_strong_core(tuple(sorted(facets, reverse=True))) for _, facets in patterns]
+    return sum(1 for core in cores if not (len(core) == 1 and core[0]))
+
+
 class TestPatternMemo:
     MAXIMAL_POWER = "m(x1,x2,x3,x4)^6"
 
     def test_one_homology_per_pattern(self, monkeypatch):
         I = build_ideal(self.MAXIMAL_POWER)
-        calls = count_homology_calls(monkeypatch)
+        collapses = count_calls(monkeypatch, "_strong_core")
+        kernels = count_calls(monkeypatch, "_mask_homology")
         graded_betti(I, 32003)
+        patterns = facet_patterns(I)
         assert len(lcm_lattice(I)) == 2275
-        assert calls[0] <= 200
-        assert calls[0] == len(facet_patterns(I))
+        assert collapses[0] <= 200
+        assert collapses[0] == len(patterns)
+        assert kernels[0] == non_cone_patterns(patterns)
+        assert kernels[0] < len(patterns)
 
     def test_no_state_survives_a_call(self, monkeypatch):
         I = build_ideal(self.MAXIMAL_POWER)
-        calls = count_homology_calls(monkeypatch)
+        calls = count_calls(monkeypatch, "_mask_homology")
         counts, tables = [], []
         for _ in range(2):
             calls[0] = 0
@@ -292,9 +302,79 @@ class TestPatternMemo:
     @pytest.mark.parametrize("I", [cycle_path_ideal(9, 2), mixed_power(6, 1, 2),
                                    build_ideal("J(7)^2 * m(x1,x7)^3")])
     def test_family_patterns(self, I, monkeypatch):
-        calls = count_homology_calls(monkeypatch)
+        collapses = count_calls(monkeypatch, "_strong_core")
+        kernels = count_calls(monkeypatch, "_mask_homology")
         graded_betti(I, 2)
-        assert calls[0] == len(facet_patterns(I))
+        patterns = facet_patterns(I)
+        assert collapses[0] == len(patterns)
+        assert kernels[0] == non_cone_patterns(patterns)
+
+
+def mask_complex(facets, k):
+    """The downward closure of facet bitmasks over vertices 0..k-1, built
+    from the definition as a SimplicialComplex of sorted tuples."""
+    faces = {}
+    for size in range(k + 1):
+        level = [F for F in combinations(range(k), size)
+                 if any(all(facet >> v & 1 for v in F) for facet in facets)]
+        if level:
+            faces[size - 1] = level
+    return SimplicialComplex(tuple(range(k)), faces)
+
+
+def tuple_homology(cx, p):
+    """Reference homology: dense boundary matrices over tuple faces, each
+    face dropping its vertices in increasing position with alternating signs."""
+    if cx.is_void():
+        return []
+    top = max(cx.faces)
+    ranks = {}
+    for d in range(top + 1):
+        upper, lower = cx.faces.get(d, []), cx.faces.get(d - 1, [])
+        index = {f: j for j, f in enumerate(lower)}
+        rows = [[0] * len(upper) for _ in lower]
+        for c, face in enumerate(upper):
+            for k in range(len(face)):
+                rows[index[face[:k] + face[k + 1:]]][c] = (-1) ** k
+        ranks[d] = dense_rank_mod_p(rows, p)
+    return [len(cx.faces.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            for d in range(-1, top + 1)]
+
+
+def core_homology(facets, p):
+    return _mask_homology(_faces(_strong_core(facets)), p)
+
+
+class TestStrongCore:
+    def test_empty_face_only(self):
+        assert _strong_core((0,)) == (0,)
+        assert core_homology((0,), 2) == [1]
+
+    def test_simplex_is_a_cone(self):
+        core = _strong_core((0b1011,))
+        assert len(core) == 1 and core[0].bit_count() == 1
+
+    def test_two_points(self):
+        assert _strong_core((0b10, 0b01)) == (0b10, 0b01)
+        assert core_homology((0b10, 0b01), 32003) == [0, 1]
+
+    def test_triangle_boundary_is_its_own_core(self):
+        edges = (0b110, 0b101, 0b011)
+        assert set(_strong_core(edges)) == set(edges)
+        assert core_homology(edges, 3) == [0, 0, 1]
+
+    def test_dominated_vertex_is_deleted(self):
+        # the path 0 - 1 - 2 collapses to a point
+        core = _strong_core((0b110, 0b011))
+        assert len(core) == 1 and core[0].bit_count() == 1
+
+
+@st.composite
+def facet_sets(draw):
+    """Maximal facet bitmasks over k <= 6 vertices, largest mask first."""
+    k = draw(st.integers(0, 6))
+    masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
+    return k, oracle._maximal(sorted(set(masks), reverse=True))
 
 
 class TestBettiTable:
@@ -475,6 +555,18 @@ class TestProperties:
         drawn_rows = np.array(shuffled, dtype=np.int64)
         for b in lcm_lattice(I):
             assert _koszul_complex(drawn_rows, b) == _koszul_complex(minimal, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(facet_sets())
+    def test_core_keeps_homology(self, drawn):
+        k, facets = drawn
+        full = mask_complex(facets, k)
+        for p in (2, 32003):
+            expected = tuple_homology(full, p)
+            assert homology_dims(full, p) == expected
+            assert _mask_homology(_faces(facets), p) == expected
+            core = [(i, h) for i, h in enumerate(core_homology(facets, p)) if h]
+            assert core == [(i, h) for i, h in enumerate(expected) if h]
 
     @settings(max_examples=25, deadline=None)
     @given(family_members())
