@@ -447,6 +447,12 @@ def emit_betti_table(table: BettiTable, fmt: str = "text") -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _check_not_unit(case: FamilyCase) -> None:
+    """reduced(n)^s * full(n)^t is the unit ideal when n = 2 or s = t = 0."""
+    if case.kind == "mixed" and (case.n == 2 or case.s == case.t == 0):
+        raise ParseError("the unit ideal has no Betti table or pd")
+
+
 def _cmd_table(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
@@ -466,8 +472,7 @@ def _cmd_table(args) -> int:
             raise ParseError(
                 "no closed formula for corner families; "
                 "use --route recursion or --route oracle")
-        if case.kind != "corner" and case.t == 0 and case.s == 0:
-            raise ParseError("the unit ideal has no Betti table")
+        _check_not_unit(case)
         totals = route_totals(case, route, strict_delta=args.strict_delta)
         table = BettiTable.from_totals(totals, case.initial_degree(), ambient)
     print(emit_betti_table(table, args.format))
@@ -487,6 +492,7 @@ def _cmd_pd(args) -> int:
     if case is None:
         raise ParseError(f"--route {args.route} needs a recognized family; "
                          "use --route oracle")
+    _check_not_unit(case)
     if args.route == "closed":
         closed = case.closed_pd_reg()
         if closed is None:

@@ -9,7 +9,7 @@ over a prime field, and accumulate into a graded table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +18,8 @@ from .monomials import _CHUNK, Monomial, MonomialIdeal
 
 DEFAULT_PRIME = 32003
 DEFAULT_LATTICE_CAP = 200_000
+# facets are int64 bitmasks over the positions of supp(b), and bit 63 is the sign
+MAX_SUPPORT = 63
 # Miller-Rabin with the prime bases 2..41 is exact below this bound
 # (Sorenson and Webster 2015); larger characteristics are refused.
 PRIME_CHECK_BOUND = 3_317_044_064_679_887_385_961_981
@@ -141,54 +143,26 @@ class SimplicialComplex:
         return {d: len(fs) for d, fs in self.faces.items()}
 
 
-@cache
-def _face_layout(k: int):
-    """Every subset of positions 0..k-1 as a bitmask, ordered by size and
-    then as `combinations` yields them, with the size boundaries and the
-    subsets themselves as position tuples in the same order."""
-    masks, bounds, subsets = [], [0], []
-    for size in range(k + 1):
-        for positions in combinations(range(k), size):
-            masks.append(sum(1 << i for i in positions))
-            subsets.append(positions)
-        bounds.append(len(masks))
-    return np.array(masks, dtype=np.int64), bounds, subsets
-
-
 def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialComplex:
     """Upper Koszul complex at bexp of the ideal generated by gen_rows.
 
     A subset F of supp(b) is a face when b - e_F is divisible by some
-    generator g, that is when g | b and F lies in the facet
-    {v in supp(b) : g_v < b_v}.  The facets, as bitmasks over the positions
-    of supp(b), are scattered into a table indexed by bitmask and closed
-    downward one position at a time; faces come out grouped by size in
-    `combinations` order, as tuples of the support's vertices.
+    generator g, that is when F lies in g's facet from `_facet_masks`.  The
+    faces are the subsets of the maximal facets, grouped by size and sorted,
+    which is `combinations` order, as tuples of the support's vertices.
     """
-    b_arr = np.asarray(bexp, dtype=np.int64)
     support = tuple(v for v, e in enumerate(bexp) if e > 0)
-    rows = gen_rows[(gen_rows <= b_arr).all(axis=1)]
-    if not len(rows):
-        return SimplicialComplex(support, {})
-    k = len(support)
-    columns = list(support)
-    strict = rows[:, columns] < b_arr[columns]
-    is_face = np.zeros(1 << k, dtype=bool)
-    is_face[strict @ (1 << np.arange(k, dtype=np.int64))] = True
-    cube = is_face.reshape((2,) * k)
-    for axis in range(k):
-        lower = (slice(None),) * axis + (0,)
-        upper = (slice(None),) * axis + (1,)
-        cube[lower] |= cube[upper]
-    masks, bounds, subsets = _face_layout(k)
-    hits = np.flatnonzero(is_face[masks])
-    cuts = np.searchsorted(hits, bounds).tolist()
-    hits = hits.tolist()
-    faces: dict[int, list[tuple[int, ...]]] = {}
-    for size in range(k + 1):
-        level = hits[cuts[size]:cuts[size + 1]]
-        if level:
-            faces[size - 1] = [tuple(support[i] for i in subsets[j]) for j in level]
+    # one dtype on both sides keeps numpy's comparisons off the mixed-type loops
+    masks = _facet_masks(np.asarray(gen_rows, dtype=np.int64),
+                         np.array([bexp], dtype=np.int64))[0].tolist()
+    facets = [[v for j, v in enumerate(support) if facet >> j & 1]
+              for facet in _maximal(sorted({m for m in masks if m >= 0}, reverse=True))]
+    faces = {}
+    for size in range(max(map(len, facets), default=-1) + 1):
+        level: set[tuple[int, ...]] = set()
+        for vertices in facets:
+            level.update(combinations(vertices, size))
+        faces[size - 1] = sorted(level)
     return SimplicialComplex(support, faces)
 
 
@@ -330,11 +304,17 @@ def _facet_masks(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     as a bitmask over the positions of supp(b) where g divides b, else -1.
 
     Built one variable at a time, so no (points, generators, variables)
-    array is ever allocated.
+    array is ever allocated.  Raises LatticeCapError when a support has more
+    than MAX_SUPPORT variables, whose bits would not fit in an int64.
     """
     inside = points > 0
+    positions = np.cumsum(inside, axis=1)
+    widest = int(positions.max(initial=0))
+    if widest > MAX_SUPPORT:
+        raise LatticeCapError(f"lcm lattice point has a support of {widest} variables, "
+                              f"past the oracle's limit of {MAX_SUPPORT}")
     # the bit of vertex v is its position within supp(b)
-    bits = np.where(inside, np.left_shift(1, np.cumsum(inside, axis=1) - 1), 0)
+    bits = np.where(inside, np.left_shift(1, positions - 1), 0)
     masks = np.zeros((len(points), len(gens)), dtype=np.int64)
     divides = np.ones(masks.shape, dtype=bool)
     strict = np.empty(masks.shape, dtype=bool)

@@ -447,16 +447,17 @@ def suite_delta_edge(char=DEFAULT_PRIME, **opt) -> list[Report]:
     is a tested statement rather than a silent patch."""
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
+    cap = opt.get("cap", DEFAULT_LATTICE_CAP)
     reports = []
 
     def compute_default():
         got = recursion.corner_rec(n, 0, t, 0)
-        want = oracle_table(corner, char).total(0)
+        want = oracle_table(corner, char, cap).total(0)
         return None if got == want == t + 1 else {"values": [str(got), str(want)]}
 
     def compute_strict():
         got = recursion.corner_rec(n, 0, t, 0, strict_delta=True)
-        want = oracle_table(corner, char).total(0)
+        want = oracle_table(corner, char, cap).total(0)
         # the strict (closed-form) multiset must over-count by exactly one
         return None if got == t + 2 and want == t + 1 else \
             {"values": [str(got), str(want)]}

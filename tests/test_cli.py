@@ -168,8 +168,17 @@ class TestTableCommand:
         assert "recursion" in err
 
     def test_unit_ideal_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "table", "(1)", "--route", "oracle")
-        assert code == 2 and "unit" in err
+        # reduced(n)^s * full(n)^t is the unit ideal when n = 2 or s = t = 0
+        routes = {"table": ("oracle", "formula", "recursion"),
+                  "pd": ("closed", "recursive", "oracle")}
+        cases = [("table", "(1)", "oracle"), ("pd", "(1)", "oracle")]
+        cases += [(command, expr, route) for command in routes for route in routes[command]
+                  for expr in ("I(2)^2", "J(5)^0", "J(2) * I(2)^3", "Jc(5,4)^0")]
+        for command, expr, route in cases:
+            code, out, err = run_cli(capsys, command, expr, "--route", route)
+            assert code == 2 and out == "", (command, expr, route)
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "unit" in err, (command, expr, route)
 
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "table", "Jc(5")
@@ -229,6 +238,17 @@ class TestBadInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+class TestSupportLimit:
+    def test_support_past_limit_exits_3(self):
+        # the top lattice point of Jc(64,63) has all 64 variables in its support
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "cyclebetti", "table", "Jc(64,63)"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == ("error: lcm lattice point has a support of 64 variables, "
+                               "past the oracle's limit of 63\n")
 
 
 class TestCandidateCapCommand:

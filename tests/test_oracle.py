@@ -18,7 +18,7 @@ from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
                                _koszul_complex, _mask_homology, _rank_mod_p,
                                _strong_core, check_prime, graded_betti,
                                homology_dims, lcm_lattice, upper_koszul)
-from cyclebetti.verify import FamilyCase
+from cyclebetti.verify import FamilyCase, route_totals
 
 
 def ideal(*gens_exps):
@@ -118,6 +118,21 @@ class TestUpperKoszul:
         cx = upper_koszul(TRIANGLE, Monomial((1, 0, 0)))
         assert cx.is_void()
 
+    @pytest.mark.parametrize("expr", ["Jc(9,2)", "I(8)^2"])
+    def test_wide_ideals_match_definition(self, expr):
+        I = build_ideal(expr)
+        for b in lcm_lattice(I):
+            cx = upper_koszul(I, Monomial(b))
+            assert cx.vertices == tuple(v for v, e in enumerate(b) if e > 0)
+            assert cx.faces == definition_faces(I, b)
+            assert list(cx.faces) == sorted(cx.faces)
+
+    def test_support_past_limit_refused(self):
+        I = cycle_path_ideal(64, 63)
+        with pytest.raises(LatticeCapError, match="support of 64 variables"):
+            upper_koszul(I, Monomial((1,) * 64))
+        assert upper_koszul(I, I.gens[0]).faces == {-1: [()]}
+
     def test_downward_closed(self):
         cx = upper_koszul(long_path_ideal(4) ** 2, Monomial((2, 2, 1, 1)))
         all_faces = {f for fs in cx.faces.values() for f in fs}
@@ -172,6 +187,12 @@ class TestGradedBetti:
     def test_two_variables(self):
         table = graded_betti(ideal((1, 0), (0, 1)))
         assert table.entries == {(0, 1): 2, (1, 2): 1}
+
+    def test_support_at_limit(self):
+        # 63 variables: the top lattice point's facets use bits 0..62
+        table = graded_betti(cycle_path_ideal(63, 62))
+        closed = route_totals(FamilyCase("long-power", 63, 0, 1), "closed")
+        assert table.totals() == closed == [63, 62]
 
     def test_triangle(self):
         table = graded_betti(TRIANGLE)
@@ -485,6 +506,19 @@ def permuted_ideals(draw):
     return I, J
 
 
+def definition_faces(I, b):
+    """Faces of the upper Koszul complex at b straight from the definition:
+    F in supp(b) is a face when b - e_F lies in I, in `combinations` order."""
+    support = [v for v, e in enumerate(b) if e > 0]
+    faces = {}
+    for size in range(len(support) + 1):
+        level = [F for F in combinations(support, size)
+                 if I.contains(Monomial(e - (v in F) for v, e in enumerate(b)))]
+        if level:
+            faces[size - 1] = level
+    return faces
+
+
 def pointwise_betti(I, p):
     """Reference table: homology of the upper Koszul complex at every lattice
     point, accumulated by total degree."""
@@ -520,14 +554,7 @@ class TestProperties:
     def test_faces_match_definition(self, drawn):
         I, _ = drawn
         for b in lcm_lattice(I):
-            support = [v for v, e in enumerate(b) if e > 0]
-            expected = {}
-            for size in range(len(support) + 1):
-                level = [F for F in combinations(support, size)
-                         if I.contains(Monomial(e - (v in F) for v, e in enumerate(b)))]
-                if level:
-                    expected[size - 1] = level
-            assert upper_koszul(I, Monomial(b)).faces == expected
+            assert upper_koszul(I, Monomial(b)).faces == definition_faces(I, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([2, 3, 32003]), st.integers(1, 6), st.integers(1, 6),

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cyclebetti.monomials import Monomial, MonomialIdeal
+from cyclebetti.oracle import LatticeCapError
 from cyclebetti.verify import (FamilyCase, Report, check_splitting,
                                cross_validate, route_totals, run_config,
                                run_suite)
@@ -97,6 +98,10 @@ class TestSuites:
     def test_delta_edge_suite(self):
         reports = run_suite("delta-edge")
         assert len(reports) == 2 and all(r.ok for r in reports)
+
+    def test_delta_edge_suite_keeps_lattice_cap(self):
+        with pytest.raises(LatticeCapError):
+            run_suite("delta-edge", cap=1)
 
     def test_config_sweep(self):
         config = {"sweeps": [{"kind": "mixed", "n": [3, 4], "s": [0, 1],
