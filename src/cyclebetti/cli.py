@@ -548,12 +548,16 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _characteristic(text: str) -> int:
-    """argparse type of --char: a prime the oracle can certify."""
+def _integer(text: str) -> int:
     try:
-        p = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _characteristic(text: str) -> int:
+    """argparse type of --char: a prime the oracle can certify."""
+    p = _integer(text)
     try:
         check_prime(p)
     except ValueError as exc:
@@ -561,8 +565,16 @@ def _characteristic(text: str) -> int:
     return p
 
 
+def _positive(text: str) -> int:
+    """argparse type of --lattice-cap: a positive integer."""
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
+
 def _add_common(parser, char=True):
-    parser.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
+    parser.add_argument("--lattice-cap", type=_positive, default=DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
     parser.add_argument("--strict-delta", action="store_true",
                         help="use the closed-form corner-chain multiset "

@@ -64,9 +64,9 @@ def check_prime(p: int) -> None:
 
 
 def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """The distinct values of a 1-d array, sorted.  (np.unique would import
-    numpy.ma, a megabyte of modules, on first use.)"""
-    keys = np.sort(keys)
+    """The distinct values of a 1-d array, sorted, sorting `keys` in place.
+    (np.unique would import numpy.ma, a megabyte of modules, on first use.)"""
+    keys.sort()
     fresh = np.empty(len(keys), dtype=bool)
     fresh[:1] = True
     fresh[1:] = keys[1:] != keys[:-1]
@@ -81,33 +81,59 @@ def _check_cap(size: int, cap: int) -> None:
 def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
     """Every join of a nonempty set of rows of `matrix`, sorted lexicographically.
 
-    Each frontier batch is joined with every generator in one broadcast
-    maximum, in the matrix's own dtype and at most `_CHUNK` candidate rows at
-    a time.  Rows are compared as single void values over their bytes, kept
-    in one sorted array of the lattice so far.  The cap is checked after
-    every batch, before its new rows are inserted.
+    Rows live as packed words.  With w the bit length of the largest
+    exponent, each field is w + 1 bits, the top one a guard kept clear, so
+    64 // (w + 1) fields fill a uint64 from the top: column 0 is the highest
+    field of word 0.  A frontier batch is joined with every generator by a
+    field-wise SWAR maximum (Lamport, CACM 1975; Warren, Hacker's Delight,
+    ch. 2): subtracting b from a with the guards set leaves a field's guard
+    set exactly where a >= b, and no borrow crosses a field.  The join runs
+    in place in two buffers of at most `_CHUNK` candidate rows.  Each row is
+    one scalar, a uint64 or a void of its words, kept in one sorted array of
+    the lattice so far.  The cap is checked after every batch, before its
+    new rows are inserted.  Rows are unpacked and lexsorted at the end.
     """
     gens = np.ascontiguousarray(matrix)
     count, ambient = gens.shape
-    row = np.dtype((np.void, gens.dtype.itemsize * ambient))
-    lattice = _sorted_distinct(gens.view(row).ravel())
+    width = max(int(gens.max(initial=0)).bit_length(), 1)
+    per_word = 64 // (width + 1)
+    words = -(-ambient // per_word)
+    shifts = np.arange(per_word - 1, -1, -1, dtype=np.uint64) * np.uint64(width + 1)
+    # numpy 1.x and 2.x promote uint64 with a Python int differently: every
+    # constant below is a np.uint64
+    guards = np.uint64(sum(1 << int(s) + width for s in shifts))
+    padded = np.zeros((count, words * per_word), dtype=np.uint64)
+    padded[:, :ambient] = gens
+    packed = (padded.reshape(count, words, per_word) << shifts).sum(axis=2, dtype=np.uint64)
+    key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+    lattice = _sorted_distinct(packed.copy().view(key).ravel())
     _check_cap(len(lattice), cap)
-    frontier = gens
+    frontier = packed
     step = max(1, _CHUNK // count)
+    picks = np.empty((step, count, words), dtype=np.uint64)
+    joins = np.empty_like(picks)
     while len(frontier):
         fresh = []
         for lo in range(0, len(frontier), step):
-            joins = np.maximum(frontier[lo:lo + step, None, :], gens[None, :, :])
-            joins = _sorted_distinct(joins.reshape(-1, ambient).view(row).ravel())
-            at = np.searchsorted(lattice, joins)
+            a = frontier[lo:lo + step, None, :]
+            pick, join = picks[:len(a)], joins[:len(a)]
+            np.subtract(a | guards, packed, out=pick)
+            pick &= guards
+            pick -= np.right_shift(pick, np.uint64(width), out=join)
+            np.bitwise_xor(a, packed, out=join)
+            join &= pick
+            join ^= packed
+            batch = _sorted_distinct(join.reshape(-1, words).view(key).ravel())
+            at = np.searchsorted(lattice, batch)
             known = at < len(lattice)
-            known[known] = lattice[at[known]] == joins[known]
-            new = joins[~known]
+            known[known] = lattice[at[known]] == batch[known]
+            new = batch[~known]
             _check_cap(len(lattice) + len(new), cap)
             lattice = np.insert(lattice, at[~known], new)
             fresh.append(new)
-        frontier = np.concatenate(fresh).view(gens.dtype).reshape(-1, ambient)
-    rows = lattice.view(gens.dtype).reshape(-1, ambient)
+        frontier = np.concatenate(fresh).view(np.uint64).reshape(-1, words)
+    fields = (lattice.view(np.uint64).reshape(-1, words, 1) >> shifts) & np.uint64((1 << width) - 1)
+    rows = fields.reshape(len(lattice), -1)[:, :ambient].astype(gens.dtype)
     return rows[np.lexsort(rows.T[::-1])]
 
 

@@ -206,14 +206,23 @@ class TestBadCharacteristic:
         ("pd", "Jc(4,3)", "--route", "oracle", "--char", "561"),
         ("split", "Jc(4,3)", "(x1*x2*x3)", "(x1*x2*x4, x1*x3*x4, x2*x3*x4)",
          "--char", "3215031751"),
+        ("table", "Jc(5,2)", "--lattice-cap", "0"),
+        ("table", "Jc(5,2)", "--lattice-cap", "-3"),
+        ("table", "Jc(5,2)", "--lattice-cap", "ten"),
+        ("pd", "Jc(4,3)", "--route", "oracle", "--lattice-cap", "0"),
+        ("split", "Jc(4,3)", "(x1*x2*x3)", "(x1*x2*x4, x1*x3*x4, x2*x3*x4)",
+         "--lattice-cap", "-3"),
+        ("verify", "residuals", "--lattice-cap", "-1"),
+        ("verify", "residuals", "--lattice-cap", "ten"),
     ])
     def test_usage_exit(self, capsys, argv):
+        # the option with the bad value is the second-last argument
         with pytest.raises(SystemExit) as exit_info:
             main(list(argv))
         err = capsys.readouterr().err
         assert exit_info.value.code == 2
         assert "Traceback" not in err
-        assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument --char:")
+        assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument {argv[-2]}:")
 
 
 SRC = Path(cyclebetti.__file__).resolve().parents[1]

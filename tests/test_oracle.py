@@ -12,7 +12,7 @@ from cyclebetti.families import (cycle_path_ideal, long_path_ideal,
                                  mixed_power, short_path_ideal)
 from cyclebetti import oracle
 from cyclebetti.cli import build_ideal
-from cyclebetti.monomials import Monomial, MonomialIdeal, variable
+from cyclebetti.monomials import MAX_EXPONENT, Monomial, MonomialIdeal, variable
 from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
                                SimplicialComplex, _faces, _is_prime,
                                _koszul_complex, _mask_homology, _rank_mod_p,
@@ -26,6 +26,10 @@ def ideal(*gens_exps):
 
 
 TRIANGLE = ideal((1, 1, 0), (0, 1, 1), (1, 0, 1))
+# exponents up to 7 in 17 variables: 16 four-bit fields fill a lattice word,
+# so each row takes two
+TWO_WORDS = MonomialIdeal([Monomial(tuple((3 * i + 5 * v) % 8 for v in range(17)))
+                           for i in range(6)])
 
 
 class TestLcmLattice:
@@ -55,7 +59,7 @@ class TestLcmLattice:
         assert reached > 100 and "cap of 100" in str(caught.value)
 
     @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
-                                   mixed_power(5, 1, 1)])
+                                   mixed_power(5, 1, 1), TWO_WORDS])
     def test_cap_is_inclusive(self, I):
         size = len(lcm_lattice(I))
         assert len(lcm_lattice(I, cap=size)) == size
@@ -64,10 +68,32 @@ class TestLcmLattice:
 
     @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
                                    mixed_power(6, 1, 2), cycle_path_ideal(9, 2),
-                                   cycle_path_ideal(5, 2) * Monomial((255, 0, 255, 1, 254))])
+                                   cycle_path_ideal(5, 2) * Monomial((255, 0, 255, 1, 254)),
+                                   TWO_WORDS])
     def test_matches_frontier_loop(self, I):
         # the shifted cycle ideal has two-byte exponents across 255 -> 256,
         # where byte order and numeric order differ
+        assert lcm_lattice(I) == frontier_lattice(I)
+
+    @pytest.mark.parametrize("past", [0, 1], ids=["fills-word", "one-past"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 15, 16, 31, 32])
+    def test_matches_frontier_loop_at_word_boundary(self, width, past):
+        # exponents of bit length `width` take width + 1 bits with the guard,
+        # 64 // (width + 1) to a word; the ambient fills one word exactly, or
+        # spills one column into a second
+        top = min((1 << width) - 1, MAX_EXPONENT)
+        ambient = 64 // (width + 1) + past
+        edges = [0, 1, top >> 1, (top >> 1) + 1, top - 1, top]
+        rng = random.Random(width * 2 + past)
+        gens = [Monomial((top,) + (0,) * (ambient - 1))]
+        while ambient > 1 and len(gens) < 6:
+            exps = tuple(rng.choice(edges) if rng.random() < 0.7 else rng.randint(0, top)
+                         for _ in range(ambient))
+            # an exponent past column 0 keeps the first generator minimal
+            if any(exps[1:]):
+                gens.append(Monomial(exps))
+        I = MonomialIdeal(gens, ambient)
+        assert I._width == width
         assert lcm_lattice(I) == frontier_lattice(I)
 
     def test_join_closed(self):
@@ -494,11 +520,12 @@ def dense_rank_mod_p(rows, p):
 
 
 @st.composite
-def permuted_ideals(draw):
-    """Nonzero, non-unit ideals in at most 5 variables, exponents at most 3,
-    of any generator degrees, with their variables permuted."""
-    n = draw(st.integers(1, 5))
-    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+def permuted_ideals(draw, max_ambient=5, max_exponent=3):
+    """Nonzero, non-unit ideals in at most max_ambient variables, exponents
+    at most max_exponent, of any generator degrees, with their variables
+    permuted."""
+    n = draw(st.integers(1, max_ambient))
+    exponent = st.tuples(*[st.integers(0, max_exponent)] * n).filter(any)
     gens = draw(st.lists(exponent, min_size=1, max_size=7))
     perm = draw(st.permutations(range(n)))
     I = MonomialIdeal([Monomial(g) for g in gens], n)
@@ -543,8 +570,9 @@ class TestProperties:
             assert graded_betti(J, p) == table
             assert pointwise_betti(J, p) == table.entries
 
+    # up to 24 variables and exponents up to 2^k, so rows take one to 24 words
     @settings(max_examples=60, deadline=None)
-    @given(permuted_ideals())
+    @given(st.integers(0, 31).flatmap(lambda k: permuted_ideals(24, 2 ** k)))
     def test_lattice_matches_frontier_loop(self, drawn):
         for I in drawn:
             assert lcm_lattice(I) == frontier_lattice(I)
