@@ -531,14 +531,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    opt = {"strict_delta": args.strict_delta, "cap": args.lattice_cap,
-           "seed": args.seed}
     try:
         if args.suite.endswith(".json"):
             with open(args.suite) as handle:
-                reports = verify.run_config(json.load(handle), **opt)
+                config = json.load(handle)
+            reports = verify.run_config(config, args.lattice_cap, args.seed,
+                                        args.strict_delta)
         else:
-            reports = verify.run_suite(args.suite, **opt)
+            reports = verify.run_suite(args.suite, args.lattice_cap, args.seed)
     except (KeyError, ValueError, OSError) as exc:
         raise ParseError(str(exc)) from None
     ok = True
@@ -573,12 +573,21 @@ def _positive(text: str) -> int:
     return value
 
 
-def _add_common(parser, char=True):
+def _non_negative(text: str) -> int:
+    """argparse type of gf --imax: a non-negative integer."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
+def _add_common(parser, char=True, strict_delta=True):
     parser.add_argument("--lattice-cap", type=_positive, default=DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
-    parser.add_argument("--strict-delta", action="store_true",
-                        help="use the closed-form corner-chain multiset "
-                             "(over-counts at s=0; for demonstration)")
+    if strict_delta:
+        parser.add_argument("--strict-delta", action="store_true",
+                            help="use the closed-form corner-chain multiset "
+                                 "(over-counts at s=0; for demonstration)")
     if char:
         parser.add_argument("--char", type=_characteristic, default=DEFAULT_PRIME,
                             help=f"prime field characteristic (default {DEFAULT_PRIME})")
@@ -609,14 +618,14 @@ def make_parser() -> argparse.ArgumentParser:
                                      "generating-function expansion")
     p_gf.add_argument("--n", type=int, required=True)
     p_gf.add_argument("--t", type=int, required=True)
-    p_gf.add_argument("--imax", type=int, required=True)
+    p_gf.add_argument("--imax", type=_non_negative, required=True)
     p_gf.set_defaults(fn=_cmd_gf)
 
     p_split = sub.add_parser("split", help="audit a Betti splitting with the oracle")
     p_split.add_argument("total")
     p_split.add_argument("left")
     p_split.add_argument("right")
-    _add_common(p_split)
+    _add_common(p_split, strict_delta=False)
     p_split.set_defaults(fn=_cmd_split)
 
     p_verify = sub.add_parser("verify", help="run a verification suite "
@@ -624,7 +633,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite",
                           help=f"one of: {', '.join(verify.SUITES)}, all, "
                                "or a config.json path")
-    p_verify.add_argument("--seed", type=int, default=20240613,
+    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED,
                           help="seed for the randomized residual sweeps")
     _add_common(p_verify, char=False)
     p_verify.set_defaults(fn=_cmd_verify)

@@ -100,12 +100,6 @@ class Monomial:
             raise ValueError("negative power of a monomial")
         return Monomial(a * e for a in self.exponents)
 
-    def extend(self, ambient: int) -> "Monomial":
-        """Flat extension into a larger ring (pad with zero exponents)."""
-        if ambient < self.ambient:
-            raise ValueError("cannot shrink ambient")
-        return Monomial(self.exponents + (0,) * (ambient - self.ambient))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exponents == other.exponents
 

@@ -6,6 +6,7 @@ lines, one per line, schema {case, status, witness?, millis}.
 """
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from . import families, formulas, recursion
 from .monomials import Monomial, MonomialIdeal, variable
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
-                     graded_betti)
+                     check_prime, graded_betti)
 
 
 @dataclass
@@ -46,28 +47,25 @@ def _timed(case: str, check) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Oracle access with caching (ideals are immutable and hashable).
+# Oracle access with caching (ideals are immutable and hashable).  The cache
+# keys on the call form, so every caller passes all three arguments by position.
 # ---------------------------------------------------------------------------
 
-_table_cache: dict[tuple, BettiTable] = {}
-
-
-def oracle_table(ideal: MonomialIdeal, char: int = DEFAULT_PRIME,
-                 cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
-    key = (ideal, char, cap)
-    table = _table_cache.get(key)
-    if table is None:
-        table = _table_cache[key] = graded_betti(ideal, char, cap)
-    return table
+@functools.cache
+def oracle_table(ideal: MonomialIdeal, char: int, cap: int) -> BettiTable:
+    return graded_betti(ideal, char, cap)
 
 
 def clear_oracle_cache() -> None:
-    _table_cache.clear()
+    oracle_table.cache_clear()
 
 
 # ---------------------------------------------------------------------------
 # Family cases and per-route total Betti sequences.
 # ---------------------------------------------------------------------------
+
+FAMILY_KINDS = ("long-power", "mixed", "corner")
+
 
 @dataclass(frozen=True)
 class FamilyCase:
@@ -147,7 +145,7 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
         return _strip(oracle_table(case.ideal(), char, cap).totals())
     sequence = _ROUTE_TOTALS.get((case.kind, route))
     if sequence is None:
-        if case.kind not in ("long-power", "mixed", "corner"):
+        if case.kind not in FAMILY_KINDS:
             raise ValueError(f"unknown family kind {case.kind!r}")
         raise ValueError(f"route {route!r} not applicable to {case.kind} families")
     return _strip(sequence(case.n, case.s, case.t, strict_delta))
@@ -195,27 +193,25 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
 
         reports.append(_timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
                               compute))
-
-        for route, p in expanded:
-            if route != "oracle":
-                continue
-            reports.append(_timed(f"{case.label()} oracle(p={p}) audit",
-                                  lambda case=case, p=p: _audit_oracle(case, p, cap)))
+        reports.extend(_audit_oracle(case, p, cap) for route, p in expanded
+                       if route == "oracle")
     return reports
 
 
-def _audit_oracle(case: FamilyCase, char, cap):
+def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
     """Single-row linearity plus pd/reg against the closed formulas."""
-    table = oracle_table(case.ideal(), char, cap)
-    degree = case.initial_degree()
-    if table.rows() != [degree]:
-        return {"aspect": "linearity", "rows": table.rows(), "expected_row": degree}
-    closed = case.closed_pd_reg()
-    if closed is not None:
-        if (table.pd(), table.reg()) != closed:
+    def compute():
+        table = oracle_table(case.ideal(), char, cap)
+        degree = case.initial_degree()
+        if table.rows() != [degree]:
+            return {"aspect": "linearity", "rows": table.rows(), "expected_row": degree}
+        closed = case.closed_pd_reg()
+        if closed is not None and (table.pd(), table.reg()) != closed:
             return {"aspect": "pd/reg", "oracle": [table.pd(), table.reg()],
                     "closed": list(closed)}
-    return None
+        return None
+
+    return _timed(f"{case.label()} oracle(p={char}) audit", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +258,12 @@ def total_label(total, left, right) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Named suites.  Defaults encode the acceptance criteria.
+# Named suites, each called as fn(cap, seed).  Their fixed parameters encode
+# the acceptance criteria.
 # ---------------------------------------------------------------------------
+
+DEFAULT_SEED = 20240613
+RESIDUAL_SAMPLES = 1000
 
 EXAMPLE_ROW_N = 27
 EXAMPLE_ROW_T = 4
@@ -274,7 +274,7 @@ LONG_DESK_SET = tuple((n, t) for n in (3, 4, 5) for t in (1, 2, 3)) + ((6, 1), (
 SHORT_DESK_SET = ((4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1))
 
 
-def suite_example_row(**opt) -> list[Report]:
+def suite_example_row(cap: int, seed: int) -> list[Report]:
     n, t = EXAMPLE_ROW_N, EXAMPLE_ROW_T
 
     def compute():
@@ -292,17 +292,18 @@ def suite_example_row(**opt) -> list[Report]:
     return [_timed(f"example row short-power(n={n},t={t})", compute)]
 
 
-def suite_long_path_oracle(chars=(2, DEFAULT_PRIME), **opt) -> list[Report]:
+def suite_long_path_oracle(cap: int, seed: int) -> list[Report]:
     cases = [FamilyCase("long-power", n, 0, t) for n, t in LONG_DESK_SET]
-    return cross_validate(cases, ["closed", "oracle"], chars=chars, **_sweep_opt(opt))
+    return cross_validate(cases, ["closed", "oracle"], chars=(2, DEFAULT_PRIME), cap=cap)
 
 
-def suite_short_path_oracle(chars=(DEFAULT_PRIME,), **opt) -> list[Report]:
+def suite_short_path_oracle(cap: int, seed: int) -> list[Report]:
     cases = [FamilyCase("mixed", n, 0, t) for n, t in SHORT_DESK_SET]
-    return cross_validate(cases, ["closed", "oracle"], chars=chars, **_sweep_opt(opt))
+    return cross_validate(cases, ["closed", "oracle"], cap=cap)
 
 
-def suite_main_identity(n_max=12, st_max=8, **opt) -> list[Report]:
+def suite_main_identity(cap: int, seed: int) -> list[Report]:
+    n_max, st_max = 12, 8
     reports = []
     for n in range(2, n_max + 1):
         def compute(n=n):
@@ -320,7 +321,8 @@ def suite_main_identity(n_max=12, st_max=8, **opt) -> list[Report]:
     return reports
 
 
-def suite_three_route(n_max=10, t_max=8, chars=(DEFAULT_PRIME,), **opt) -> list[Report]:
+def suite_three_route(cap: int, seed: int) -> list[Report]:
+    n_max, t_max = 10, 8
     reports = []
     for n in range(2, n_max + 1):
         def compute(n=n):
@@ -335,18 +337,12 @@ def suite_three_route(n_max=10, t_max=8, chars=(DEFAULT_PRIME,), **opt) -> list[
             return None
         reports.append(_timed(
             f"three-route long-power n={n} t<={t_max}", compute))
-    cases = [FamilyCase("long-power", n, 0, t) for n, t in LONG_DESK_SET]
-    for case in cases:
-        for p in chars:
-            reports.append(_timed(
-                f"{case.label()} oracle(p={p}) audit",
-                lambda case=case, p=p: _audit_oracle(
-                    case, p, opt.get("cap", DEFAULT_LATTICE_CAP))))
+    reports.extend(_audit_oracle(FamilyCase("long-power", n, 0, t), DEFAULT_PRIME, cap)
+                   for n, t in LONG_DESK_SET)
     return reports
 
 
-def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
-    cap = opt.get("cap", DEFAULT_LATTICE_CAP)
+def suite_splittings(cap: int, seed: int) -> list[Report]:
     reports = []
 
     # (a) splitting off the first generator of the long-path product
@@ -360,7 +356,7 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * (below ** (s + 1) * here ** (t - 1))
                 reports.append(check_splitting(
-                    total, left, right, char, cap,
+                    total, left, right, DEFAULT_PRIME, cap,
                     label=f"long-power split n={n} s={s} t={t}"))
 
     # (b) every chain step of the mixed and corner decompositions
@@ -373,7 +369,7 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                         rest = variable(n, n) * families.chain_tail(n, s, t, j + 1, family)
                         total = families.chain_tail(n, s, t, j, family)
                         reports.append(check_splitting(
-                            total, piece, rest, char, cap,
+                            total, piece, rest, DEFAULT_PRIME, cap,
                             label=f"{family} chain split n={n} s={s} t={t} j={j}"))
                         reports.append(_timed(
                             f"{family} chain intersection n={n} s={s} t={t} j={j}",
@@ -391,18 +387,18 @@ def suite_splittings(char=DEFAULT_PRIME, **opt) -> list[Report]:
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * families.stacked_reduced_power(n, s + 1, t - 1)
                 reports.append(check_splitting(
-                    total, left, right, char, cap,
+                    total, left, right, DEFAULT_PRIME, cap,
                     label=f"stacked split n={n} s={s} t={t}"))
     return reports
 
 
-def suite_residuals(seed=20240613, count=1000, **opt) -> list[Report]:
+def suite_residuals(cap: int, seed: int) -> list[Report]:
     rng = random.Random(seed)
     reports = []
 
     def sweep(name, draw, evaluate):
         def compute():
-            for _ in range(count):
+            for _ in range(RESIDUAL_SAMPLES):
                 args = draw()
                 if evaluate(*args) != 0:
                     return {"args": list(args)}
@@ -441,23 +437,22 @@ def suite_residuals(seed=20240613, count=1000, **opt) -> list[Report]:
     return reports
 
 
-def suite_delta_edge(char=DEFAULT_PRIME, **opt) -> list[Report]:
+def suite_delta_edge(cap: int, seed: int) -> list[Report]:
     """The corner-chain closed form over-counts at s = 0; the chain multiset
     is what the oracle confirms.  Both facts are asserted, so the discrepancy
     is a tested statement rather than a silent patch."""
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
-    cap = opt.get("cap", DEFAULT_LATTICE_CAP)
     reports = []
 
     def compute_default():
         got = recursion.corner_rec(n, 0, t, 0)
-        want = oracle_table(corner, char, cap).total(0)
+        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
         return None if got == want == t + 1 else {"values": [str(got), str(want)]}
 
     def compute_strict():
         got = recursion.corner_rec(n, 0, t, 0, strict_delta=True)
-        want = oracle_table(corner, char, cap).total(0)
+        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
         # the strict (closed-form) multiset must over-count by exactly one
         return None if got == t + 2 and want == t + 1 else \
             {"values": [str(got), str(want)]}
@@ -468,7 +463,7 @@ def suite_delta_edge(char=DEFAULT_PRIME, **opt) -> list[Report]:
     return reports
 
 
-def suite_support_facts(**opt) -> list[Report]:
+def suite_support_facts(cap: int, seed: int) -> list[Report]:
     reports = []
 
     def marginal_multiplicity():
@@ -524,41 +519,89 @@ SUITES = {
 }
 
 
-def _sweep_opt(opt: dict) -> dict:
-    return {k: opt[k] for k in ("strict_delta", "cap") if k in opt}
-
-
-def run_suite(name: str, **opt) -> list[Report]:
+def run_suite(name: str, cap: int = DEFAULT_LATTICE_CAP,
+              seed: int = DEFAULT_SEED) -> list[Report]:
     """Run one named suite, or every suite for name == "all"."""
     if name == "all":
-        reports = []
-        for fn in SUITES.values():
-            reports.extend(fn(**opt))
-        return reports
+        return [report for fn in SUITES.values() for report in fn(cap, seed)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
-    return SUITES[name](**opt)
+    return SUITES[name](cap, seed)
 
 
-def run_config(config: dict, **opt) -> list[Report]:
+def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP, seed: int = DEFAULT_SEED,
+               strict_delta: bool = False) -> list[Report]:
     """Run a config of the shape {"suites": [...]} and/or {"sweeps": [...]}.
 
     Each sweep gives a family kind, inclusive [lo, hi] ranges for its
-    parameters, a route list, and optionally characteristics.
+    parameters, a route list, and optionally characteristics.  The whole
+    config is checked before anything runs: a malformed one raises ValueError.
     """
+    _check_config(config)
     reports = []
     for name in config.get("suites", []):
-        reports.extend(run_suite(name, **opt))
+        reports.extend(run_suite(name, cap, seed))
     for sweep in config.get("sweeps", []):
-        kind = sweep["kind"]
         lo_n, hi_n = sweep.get("n", [2, 2])
         lo_s, hi_s = sweep.get("s", [0, 0])
         lo_t, hi_t = sweep.get("t", [0, 0])
-        cases = [FamilyCase(kind, n, s, t)
+        cases = [FamilyCase(sweep["kind"], n, s, t)
                  for n in range(lo_n, hi_n + 1)
                  for s in range(lo_s, hi_s + 1)
                  for t in range(lo_t, hi_t + 1)]
         reports.extend(cross_validate(
             cases, sweep.get("routes", ["closed", "oracle"]),
-            chars=tuple(sweep.get("chars", [DEFAULT_PRIME])), **_sweep_opt(opt)))
+            tuple(sweep.get("chars", [DEFAULT_PRIME])), strict_delta, cap))
     return reports
+
+
+_SWEEP_KEYS = ("kind", "n", "s", "t", "routes", "chars")
+_ITEM_NOUNS = {str: "strings", dict: "objects", int: "integers"}
+
+
+def _check_config(config) -> None:
+    """Raise ValueError at the first part of config that run_config cannot read."""
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object with keys suites and/or sweeps")
+    _check_keys(config, ("suites", "sweeps"), "config")
+    for name in _listed(config, "suites", str, "config"):
+        if name != "all" and name not in SUITES:
+            raise ValueError(f"config: unknown suite {name!r}; "
+                             f"choices: {', '.join(SUITES)} or all")
+    for number, sweep in enumerate(_listed(config, "sweeps", dict, "config"), 1):
+        where = f"config sweep {number}"
+        _check_keys(sweep, _SWEEP_KEYS, where)
+        kind = sweep.get("kind")
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"{where}: 'kind' must be one of {', '.join(FAMILY_KINDS)}, "
+                             f"not {kind!r}")
+        for key in ("n", "s", "t"):
+            bounds = sweep.get(key, [0, 0])
+            if not (isinstance(bounds, list) and len(bounds) == 2
+                    and all(type(b) is int for b in bounds)):
+                raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
+                                 f"not {bounds!r}")
+        for route in _listed(sweep, "routes", str, where):
+            if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
+                raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
+        for p in _listed(sweep, "chars", int, where):
+            try:
+                check_prime(p)
+            except ValueError as exc:
+                raise ValueError(f"{where}: 'chars': {exc}") from None
+
+
+def _check_keys(mapping: dict, known: tuple, where: str) -> None:
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
+
+
+def _listed(mapping: dict, key: str, item_type: type, where: str) -> list:
+    """mapping[key] (default []), checked to be a list of item_type (so no bools
+    pass for integers)."""
+    items = mapping.get(key, [])
+    if not (isinstance(items, list) and all(type(item) is item_type for item in items)):
+        raise ValueError(f"{where}: {key!r} must be a list of {_ITEM_NOUNS[item_type]}, "
+                         f"not {items!r}")
+    return items

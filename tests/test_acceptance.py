@@ -94,7 +94,7 @@ def test_criterion_7_residuals(capsys):
     with capsys.disabled():
         run_suite_criterion(
             7, "1000-sample residual and binomial-identity sweeps (seeded)",
-            "residuals", seed=20240613, count=1000)
+            "residuals", seed=20240613)
 
 
 def test_criterion_8_delta_edge(capsys):

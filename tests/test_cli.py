@@ -214,6 +214,7 @@ class TestBadCharacteristic:
          "--lattice-cap", "-3"),
         ("verify", "residuals", "--lattice-cap", "-1"),
         ("verify", "residuals", "--lattice-cap", "ten"),
+        ("gf", "--n", "3", "--t", "1", "--imax", "-3"),
     ])
     def test_usage_exit(self, capsys, argv):
         # the option with the bad value is the second-last argument
@@ -223,6 +224,14 @@ class TestBadCharacteristic:
         assert exit_info.value.code == 2
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument {argv[-2]}:")
+
+    def test_split_refuses_strict_delta(self, capsys):
+        # split never reads the flag, so it is refused rather than ignored
+        with pytest.raises(SystemExit) as exit_info:
+            main(["split", "m(x1,x2)", "m(x1)", "m(x2)", "--strict-delta"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "cyclebetti: error: unrecognized arguments: --strict-delta"
 
 
 SRC = Path(cyclebetti.__file__).resolve().parents[1]
@@ -356,6 +365,26 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", str(config))
         assert code == 0
         assert len(out.splitlines()) == 2
+
+    @pytest.mark.parametrize("config, message", [
+        ([{"kind": "mixed"}], "config must be a JSON object"),
+        ({"sweeps": [{"kind": "mixed", "n": 5}]}, "'n' must be an integer range"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 4], "t": [1, 1], "chars": ["x"]}]},
+         "'chars' must be a list of integers"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 4], "t": [1, 1], "routes": "closed"}]},
+         "'routes' must be a list of strings"),
+        ({"suites": "example-row"}, "'suites' must be a list of strings"),
+    ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
+            "suites-string"])
+    def test_malformed_config_exits_2(self, tmp_path, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "cyclebetti", "verify", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert message in done.stderr
 
 
 class TestEmit:

@@ -1,7 +1,9 @@
 import json
+import re
 
 import pytest
 
+from cyclebetti import verify
 from cyclebetti.monomials import Monomial, MonomialIdeal
 from cyclebetti.oracle import LatticeCapError
 from cyclebetti.verify import (FamilyCase, Report, check_splitting,
@@ -99,9 +101,15 @@ class TestSuites:
         reports = run_suite("delta-edge")
         assert len(reports) == 2 and all(r.ok for r in reports)
 
-    def test_delta_edge_suite_keeps_lattice_cap(self):
+    @pytest.mark.parametrize("name", ["long-path-oracle", "short-path-oracle",
+                                      "three-route", "splittings", "delta-edge"])
+    def test_oracle_suites_keep_lattice_cap(self, name):
         with pytest.raises(LatticeCapError):
-            run_suite("delta-edge", cap=1)
+            run_suite(name, cap=1)
+
+    def test_unknown_option_refused(self):
+        with pytest.raises(TypeError):
+            run_suite("example-row", bogus=1)
 
     def test_config_sweep(self):
         config = {"sweeps": [{"kind": "mixed", "n": [3, 4], "s": [0, 1],
@@ -112,3 +120,26 @@ class TestSuites:
     def test_config_suites_key(self):
         reports = run_config({"suites": ["example-row"]})
         assert len(reports) == 1 and reports[0].ok
+
+    @pytest.mark.parametrize("config, message", [
+        ({"suite": ["example-row"]}, "unknown key 'suite'"),
+        ({"suites": ["example-row", "bogus"]}, "unknown suite 'bogus'"),
+        ({"sweeps": {"kind": "mixed"}}, "'sweeps' must be a list of objects"),
+        ({"sweeps": [{"kind": "cycle"}]}, "'kind' must be one of"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 4], "step": 2}]}, "unknown key 'step'"),
+        ({"sweeps": [{"kind": "mixed", "n": [3]}]}, "'n' must be an integer range"),
+        ({"sweeps": [{"kind": "mixed", "s": [True, 2]}]}, "'s' must be an integer range"),
+        ({"sweeps": [{"kind": "mixed", "routes": ["series"]}]},
+         "route 'series' not applicable to mixed families"),
+        ({"sweeps": [{"kind": "mixed", "chars": [2.0]}]}, "'chars' must be a list of integers"),
+        ({"sweeps": [{"kind": "mixed", "chars": [4]}]}, "'chars': 4 is not prime"),
+    ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
+            "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
+            "float-char", "composite-char"])
+    def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
+        def must_not_run(cap, seed):
+            raise AssertionError("a suite ran before the config was checked")
+        monkeypatch.setitem(verify.SUITES, "example-row", must_not_run)
+        config = {"suites": ["example-row"], **config}
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_config(config)
