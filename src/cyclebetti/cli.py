@@ -287,14 +287,12 @@ def resolve_ambient(*nodes) -> int:
                 if atom.n < 2:
                     raise ParseError("I(n)/J(n) need n >= 2")
                 fixed.add(atom.n)
-            elif isinstance(atom, VarsAtom):
-                if min(atom.indices) < 1:
+            elif isinstance(atom, (VarsAtom, LiteralAtom)):
+                indices = (atom.indices if isinstance(atom, VarsAtom)
+                           else [idx for mono in atom.monomials for idx, _ in mono])
+                if any(idx < 1 for idx in indices):
                     raise ParseError("variable indices start at x1")
-                var_max = max(var_max, max(atom.indices))
-            elif isinstance(atom, LiteralAtom):
-                for mono in atom.monomials:
-                    for idx, _ in mono:
-                        var_max = max(var_max, idx)
+                var_max = max([var_max, *indices])
     if len(fixed) > 1:
         raise ParseError(f"ambient conflict: atoms declare {sorted(fixed)} variables")
     if fixed:
@@ -502,7 +500,7 @@ def _cmd_pd(args) -> int:
     elif case.kind == "mixed" and case.t >= 1:
         pd = recursion.short_path_pd_rec(case.n, case.s, case.t)
     else:
-        pd = len(route_totals(case, "recursion", strict_delta=args.strict_delta)) - 1
+        pd = len(route_totals(case, "recursion")) - 1
     print(pd)
     return 0
 
@@ -535,11 +533,12 @@ def _cmd_verify(args) -> int:
         if args.suite.endswith(".json"):
             with open(args.suite) as handle:
                 config = json.load(handle)
-            reports = verify.run_config(config, args.lattice_cap, args.seed,
-                                        args.strict_delta)
+            reports = verify.run_config(config, args.lattice_cap, args.seed)
         else:
             reports = verify.run_suite(args.suite, args.lattice_cap, args.seed)
-    except (KeyError, ValueError, OSError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise ParseError(exc.args[0]) from None
+    except (ValueError, OSError) as exc:
         raise ParseError(str(exc)) from None
     ok = True
     for report in reports:
@@ -581,13 +580,9 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_common(parser, char=True, strict_delta=True):
+def _add_common(parser, char=True):
     parser.add_argument("--lattice-cap", type=_positive, default=DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
-    if strict_delta:
-        parser.add_argument("--strict-delta", action="store_true",
-                            help="use the closed-form corner-chain multiset "
-                                 "(over-counts at s=0; for demonstration)")
     if char:
         parser.add_argument("--char", type=_characteristic, default=DEFAULT_PRIME,
                             help=f"prime field characteristic (default {DEFAULT_PRIME})")
@@ -604,6 +599,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--route", choices=("oracle", "formula", "recursion"),
                          default="oracle")
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_table.add_argument("--strict-delta", action="store_true",
+                         help="use the closed-form corner-chain multiset "
+                              "(over-counts at s=0; for demonstration)")
     _add_common(p_table)
     p_table.set_defaults(fn=_cmd_table)
 
@@ -625,7 +623,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_split.add_argument("total")
     p_split.add_argument("left")
     p_split.add_argument("right")
-    _add_common(p_split, strict_delta=False)
+    _add_common(p_split)
     p_split.set_defaults(fn=_cmd_split)
 
     p_verify = sub.add_parser("verify", help="run a verification suite "

@@ -7,7 +7,6 @@ below silently vanish outside their natural ranges.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 def binomial(a: int, b: int) -> int:
@@ -97,44 +96,24 @@ def reduced_power_pd_reg(n: int, s: int) -> tuple[int, int]:
 # Generating-function route for the long-path family.
 #
 # The Betti numbers of the long-path powers are the coefficients of
-# x^(n-2) y^t z^i in (1 + yz) / ((1 - y) (1 - x - y - xyz)).  The expansion
-# is done by iterated multiplication of dense truncated polynomials; the
-# orders are tiny, so clarity beats sparsity.
+# x^(n-2) y^t z^i in (1 + yz) / ((1 - y) (1 - x - y - xyz)).  In
+# 1/(1 - x - y - xyz) = sum_k (x + y + xyz)^k the monomial x^a y^b z^i comes
+# only from x^(a-i) y^(b-i) (xyz)^i, so its coefficient is a multinomial.
+# The factor 1/(1 - y) sums that over the y-degrees up to b, and 1 + yz adds
+# the same sum shifted by yz.
 # ---------------------------------------------------------------------------
 
-def _trunc_mul(f, g, xmax, ymax):
-    out: dict[tuple[int, int, int], int] = {}
-    for (a1, b1, c1), v1 in f.items():
-        for (a2, b2, c2), v2 in g.items():
-            a, b = a1 + a2, b1 + b2
-            if a <= xmax and b <= ymax:
-                key = (a, b, c1 + c2)
-                out[key] = out.get(key, 0) + v1 * v2
-    return out
-
-
-@lru_cache(maxsize=None)
-def _series_table(xmax: int, ymax: int) -> dict[tuple[int, int, int], int]:
-    """Coefficients of the generating function, truncated at x^xmax y^ymax.
-
-    The z-degree needs no truncation: every z carries an x and a y, so it is
-    bounded by xmax + ymax already.
-    """
-    core = {(1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 1): 1}  # x + y + xyz
-    geometric = {(0, 0, 0): 1}
-    power = {(0, 0, 0): 1}
-    for _ in range(xmax + ymax):
-        power = _trunc_mul(power, core, xmax, ymax)
-        if not power:
-            break
-        for key, v in power.items():
-            geometric[key] = geometric.get(key, 0) + v
-    series = _trunc_mul(geometric, {(0, b, 0): 1 for b in range(ymax + 1)}, xmax, ymax)
-    return _trunc_mul(series, {(0, 0, 0): 1, (0, 1, 1): 1}, xmax, ymax)
+def _core_coefficient(a: int, b: int, i: int) -> int:
+    """Coefficient of x^a y^b z^i in 1/(1 - x - y - xyz):
+    (a+b-i)! / ((a-i)! (b-i)! i!)."""
+    if i < 0 or a < i or b < i:
+        return 0
+    return math.comb(a + b - i, i) * math.comb(a + b - 2 * i, a - i)
 
 
 def series_betti(n: int, t: int, i: int) -> int:
     """Long-path Betti number read off the generating-function expansion."""
     if n < 2 or t < 0 or i < 0:
         raise ValueError("need n >= 2 and t, i >= 0")
-    return _series_table(n - 2, t).get((n - 2, t, i), 0)
+    return sum(_core_coefficient(n - 2, b, i) + _core_coefficient(n - 2, b - 1, i - 1)
+               for b in range(t + 1))

@@ -58,8 +58,7 @@ def _at(seq: Seq, i: int) -> int:
 
 def clear_caches() -> None:
     """Drop all cached sequences (results must be unaffected)."""
-    for cached in (_long_path_seq, _long_path_step, _chain_seq, _chain_step,
-                   _chain_terms):
+    for cached in (_long_path_seq, _chain_seq, _chain_step, _chain_terms):
         cached.cache_clear()
 
 
@@ -81,31 +80,27 @@ def long_path_seq(n: int, s: int, t: int) -> Seq:
     return _long_path_seq(n, s, t)
 
 
-@cache
-def _long_path_step(n: int, s: int, t: int) -> Seq:
-    """L(n, s, t) from members already in this cache.
+def _long_path_row(below: list[Seq], s: int, t: int) -> list[Seq]:
+    """L(k, s, 0..t) from below = L(k-1, 0, 0..s+t).
 
     Unrolling the recursion over t and differencing in t gives
-    L(n, s, t) = L(n, s, t-1) + z L(n-1, 0, s+t-1) + L(n-1, 0, s+t),
-    one step per member and no subtraction.
+    L(k, s, t) = L(k, s, t-1) + z L(k-1, 0, s+t-1) + L(k-1, 0, s+t), so a
+    row is one running sum that starts at L(k, s, 0) = L(k-1, 0, s).
     """
-    if n == 2:
-        return _strip((t + 1, t))
-    if t == 0:
-        return _long_path_step(n - 1, 0, s)
-    return _add(_long_path_step(n, s, t - 1),
-                (0,) + _long_path_step(n - 1, 0, s + t - 1),
-                _long_path_step(n - 1, 0, s + t))
+    row = [below[s]]
+    for u in range(1, t + 1):
+        row.append(_add(row[-1], (0,) + below[s + u - 1], below[s + u]))
+    return row
 
 
 @cache
 def _long_path_seq(n: int, s: int, t: int) -> Seq:
-    for size in range(3, n):  # L(size, 0, u) for u <= s+t, smallest first
-        for u in range(s + t + 1):
-            _long_path_step(size, 0, u)
-    for tt in range(t + 1):
-        _long_path_step(n, s, tt)
-    return _long_path_step(n, s, t)
+    if n == 2:
+        return _strip((t + 1, t))
+    row = [_strip((u + 1, u)) for u in range(s + t + 1)]  # L(2, 0, u)
+    for _ in range(3, n):
+        row = _long_path_row(row, 0, s + t)
+    return _long_path_row(row, s, t)[t]
 
 
 def long_path_rec(n: int, s: int, t: int, i: int) -> int:
@@ -212,7 +207,7 @@ def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> in
     return _at(corner_seq(n, s, t, strict_delta), i)
 
 
-def composed_support(s: int, t: int, strict_delta: bool = False) -> Counter:
+def composed_support(s: int, t: int) -> Counter:
     """Multiplicities of the pairs reached by composing the two chain reductions.
 
     One corner-chain expansion per mixed-chain pair; the result is supported
@@ -222,7 +217,7 @@ def composed_support(s: int, t: int, strict_delta: bool = False) -> Counter:
         raise ValueError("need s >= 0 and t >= 1")
     out: Counter = Counter()
     for a, b in mixed_chain_pairs(s, t):
-        out.update(corner_chain_pairs(a, b, strict=strict_delta))
+        out.update(corner_chain_pairs(a, b))
     return out
 
 

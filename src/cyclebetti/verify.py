@@ -165,7 +165,7 @@ def _compare_totals(pairs):
     return None
 
 
-def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
+def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
                    cap=DEFAULT_LATTICE_CAP) -> list[Report]:
     """Compare total Betti sequences across routes, case by case.
 
@@ -187,8 +187,7 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,), strict_delta=False,
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 pairs.append((name, route_totals(
-                    case, route, char=p or DEFAULT_PRIME,
-                    strict_delta=strict_delta, cap=cap)))
+                    case, route, char=p or DEFAULT_PRIME, cap=cap)))
             return _compare_totals(pairs)
 
         reports.append(_timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
@@ -529,33 +528,35 @@ def run_suite(name: str, cap: int = DEFAULT_LATTICE_CAP,
     return SUITES[name](cap, seed)
 
 
-def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP, seed: int = DEFAULT_SEED,
-               strict_delta: bool = False) -> list[Report]:
+def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
+               seed: int = DEFAULT_SEED) -> list[Report]:
     """Run a config of the shape {"suites": [...]} and/or {"sweeps": [...]}.
 
     Each sweep gives a family kind, inclusive [lo, hi] ranges for its
     parameters, a route list, and optionally characteristics.  The whole
-    config is checked before anything runs: a malformed one raises ValueError.
+    config is checked before anything runs: a malformed one, or a range
+    outside its family's domain, raises ValueError.
     """
     _check_config(config)
     reports = []
     for name in config.get("suites", []):
         reports.extend(run_suite(name, cap, seed))
     for sweep in config.get("sweeps", []):
-        lo_n, hi_n = sweep.get("n", [2, 2])
-        lo_s, hi_s = sweep.get("s", [0, 0])
-        lo_t, hi_t = sweep.get("t", [0, 0])
+        lo_n, hi_n = sweep.get("n", _RANGE_DEFAULTS["n"])
+        lo_s, hi_s = sweep.get("s", _RANGE_DEFAULTS["s"])
+        lo_t, hi_t = sweep.get("t", _RANGE_DEFAULTS["t"])
         cases = [FamilyCase(sweep["kind"], n, s, t)
                  for n in range(lo_n, hi_n + 1)
                  for s in range(lo_s, hi_s + 1)
                  for t in range(lo_t, hi_t + 1)]
         reports.extend(cross_validate(
             cases, sweep.get("routes", ["closed", "oracle"]),
-            tuple(sweep.get("chars", [DEFAULT_PRIME])), strict_delta, cap))
+            tuple(sweep.get("chars", [DEFAULT_PRIME])), cap))
     return reports
 
 
 _SWEEP_KEYS = ("kind", "n", "s", "t", "routes", "chars")
+_RANGE_DEFAULTS = {"n": [2, 2], "s": [0, 0], "t": [0, 0]}
 _ITEM_NOUNS = {str: "strings", dict: "objects", int: "integers"}
 
 
@@ -576,7 +577,7 @@ def _check_config(config) -> None:
             raise ValueError(f"{where}: 'kind' must be one of {', '.join(FAMILY_KINDS)}, "
                              f"not {kind!r}")
         for key in ("n", "s", "t"):
-            bounds = sweep.get(key, [0, 0])
+            bounds = sweep.get(key, _RANGE_DEFAULTS[key])
             if not (isinstance(bounds, list) and len(bounds) == 2
                     and all(type(b) is int for b in bounds)):
                 raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
@@ -589,6 +590,12 @@ def _check_config(config) -> None:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"{where}: 'chars': {exc}") from None
+        for key, least in (("n", 2), ("s", 0), ("t", 1 if kind == "long-power" else 0)):
+            lo, hi = sweep.get(key, _RANGE_DEFAULTS[key])
+            if not least <= lo <= hi:
+                raise ValueError(f"{where}: {key!r} must be a range [lo, hi] with "
+                                 f"{least} <= lo <= hi for {kind} families, "
+                                 f"not {[lo, hi]!r}")
 
 
 def _check_keys(mapping: dict, known: tuple, where: str) -> None:

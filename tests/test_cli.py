@@ -233,6 +233,18 @@ class TestBadCharacteristic:
         assert capsys.readouterr().err.splitlines()[-1] == \
             "cyclebetti: error: unrecognized arguments: --strict-delta"
 
+    @pytest.mark.parametrize("argv", [
+        ("pd", "m(x1,x4)^2", "--route", "recursive"),
+        ("verify", "delta-edge"),
+    ], ids=["pd", "verify"])
+    def test_refuses_strict_delta_off_table(self, capsys, argv):
+        # only table answers differently with the flag; pd and verify never do
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--strict-delta"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "cyclebetti: error: unrecognized arguments: --strict-delta"
+
 
 SRC = Path(cyclebetti.__file__).resolve().parents[1]
 
@@ -248,6 +260,8 @@ class TestBadInput:
         ("table", "(x1^2147483648*x2)^2"),
         ("pd", "(x1^2147483648) * m(x1,x2)", "--route", "oracle"),
         ("split", "(x1^2147483648)^2", "(x1)", "(x2)"),
+        ("table", "(x0*x2, x1)"),
+        ("table", "(x1, x2, x0^5)"),
     ])
     def test_usage_exit(self, argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -354,8 +368,12 @@ class TestVerifyCommand:
         assert all(line["status"] == "match" for line in lines)
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "bogus")
-        assert code == 2 and "unknown suite" in err
+        # the plain message, not the repr that str() of a KeyError gives
+        code, out, err = run_cli(capsys, "verify", "bogus")
+        assert code == 2 and out == ""
+        assert err == ("error: unknown suite 'bogus'; choices: example-row, "
+                       "long-path-oracle, short-path-oracle, main-identity, three-route, "
+                       "splittings, residuals, delta-edge, support-facts or all\n")
 
     def test_config_file(self, capsys, tmp_path):
         config = tmp_path / "sweep.json"
@@ -374,8 +392,11 @@ class TestVerifyCommand:
         ({"sweeps": [{"kind": "mixed", "n": [3, 4], "t": [1, 1], "routes": "closed"}]},
          "'routes' must be a list of strings"),
         ({"suites": "example-row"}, "'suites' must be a list of strings"),
+        ({"sweeps": [{"kind": "mixed", "n": [4, 4], "s": [-2, -1], "t": [1, 1],
+                      "routes": ["closed", "recursion"]}]},
+         "config sweep 1: 's' must be a range [lo, hi] with 0 <= lo <= hi"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
-            "suites-string"])
+            "suites-string", "negative-s"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

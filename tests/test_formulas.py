@@ -1,5 +1,6 @@
 import math
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -202,6 +203,44 @@ class TestPdReg:
                     assert (table.pd(), table.reg()) == short_path_pd_reg(n, s, t)
 
 
+# The generating-function expansion by iterated multiplication of dense
+# truncated polynomials, as the series route first computed it.
+
+def _trunc_mul(f, g, xmax, ymax):
+    out: dict[tuple[int, int, int], int] = {}
+    for (a1, b1, c1), v1 in f.items():
+        for (a2, b2, c2), v2 in g.items():
+            a, b = a1 + a2, b1 + b2
+            if a <= xmax and b <= ymax:
+                key = (a, b, c1 + c2)
+                out[key] = out.get(key, 0) + v1 * v2
+    return out
+
+
+@lru_cache(maxsize=None)
+def _series_table(xmax: int, ymax: int) -> dict[tuple[int, int, int], int]:
+    """Coefficients of the generating function, truncated at x^xmax y^ymax.
+
+    The z-degree needs no truncation: every z carries an x and a y, so it is
+    bounded by xmax + ymax already.
+    """
+    core = {(1, 0, 0): 1, (0, 1, 0): 1, (1, 1, 1): 1}  # x + y + xyz
+    geometric = {(0, 0, 0): 1}
+    power = {(0, 0, 0): 1}
+    for _ in range(xmax + ymax):
+        power = _trunc_mul(power, core, xmax, ymax)
+        if not power:
+            break
+        for key, v in power.items():
+            geometric[key] = geometric.get(key, 0) + v
+    series = _trunc_mul(geometric, {(0, b, 0): 1 for b in range(ymax + 1)}, xmax, ymax)
+    return _trunc_mul(series, {(0, 0, 0): 1, (0, 1, 1): 1}, xmax, ymax)
+
+
+def ref_series_betti(n, t, i):
+    return _series_table(n - 2, t).get((n - 2, t, i), 0)
+
+
 class TestSeries:
     def test_two_variable_column(self):
         for t in range(8):
@@ -217,6 +256,13 @@ class TestSeries:
             for t in range(1, 7):
                 for i in range(n + 2):
                     assert series_betti(n, t, i) == long_path_betti(n, t, i), (n, t, i)
+
+    def test_equals_expansion_reference(self):
+        # t = 0 and every i up to n + 2, past the projective dimension
+        for n in range(2, 41):
+            for t in range(11):
+                for i in range(n + 3):
+                    assert series_betti(n, t, i) == ref_series_betti(n, t, i), (n, t, i)
 
     def test_three_term_recurrence(self):
         def coeff(n, t, i):

@@ -133,9 +133,26 @@ class TestSuites:
          "route 'series' not applicable to mixed families"),
         ({"sweeps": [{"kind": "mixed", "chars": [2.0]}]}, "'chars' must be a list of integers"),
         ({"sweeps": [{"kind": "mixed", "chars": [4]}]}, "'chars': 4 is not prime"),
+        ({"sweeps": [{"kind": "mixed", "n": [4, 4], "s": [-2, -1], "t": [1, 1],
+                      "routes": ["closed", "recursion"]}]},
+         "config sweep 1: 's' must be a range [lo, hi] with 0 <= lo <= hi for mixed "
+         "families, not [-2, -1]"),
+        ({"sweeps": [{"kind": "corner", "n": [4, 4], "t": [-1, 2]}]},
+         "config sweep 1: 't' must be a range [lo, hi] with 0 <= lo <= hi"),
+        ({"sweeps": [{"kind": "mixed", "n": [1, 4]}]},
+         "config sweep 1: 'n' must be a range [lo, hi] with 2 <= lo <= hi"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3]}, {"kind": "mixed", "n": [5, 3]}]},
+         "config sweep 2: 'n' must be a range [lo, hi] with 2 <= lo <= hi for mixed "
+         "families, not [5, 3]"),
+        ({"sweeps": [{"kind": "long-power", "n": [3, 4], "t": [0, 2]}]},
+         "config sweep 1: 't' must be a range [lo, hi] with 1 <= lo <= hi for "
+         "long-power families"),
+        ({"sweeps": [{"kind": "long-power", "n": [3, 4]}]},
+         "config sweep 1: 't' must be a range [lo, hi] with 1 <= lo <= hi"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
-            "float-char", "composite-char"])
+            "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
+            "lo-above-hi", "long-power-t0", "long-power-default-t"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
