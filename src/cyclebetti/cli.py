@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -642,12 +643,20 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         code = args.fn(args)
+        # a reader that went away shows up here, not in the flush at exit
+        sys.stdout.flush()
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 2
     except (LatticeCapError, CandidateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 3
+    except BrokenPipeError:
+        # the reader closed the pipe (`verify all | head -1`): send what is
+        # left to devnull, so the flush at exit cannot fail again, and exit
+        # 1, as the SIGPIPE note in Python's `signal` documentation does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
     if argv is None:
         sys.exit(code)
     return code

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -89,9 +88,11 @@ def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
     ch. 2): subtracting b from a with the guards set leaves a field's guard
     set exactly where a >= b, and no borrow crosses a field.  The join runs
     in place in two buffers of at most `_CHUNK` candidate rows.  Each row is
-    one scalar, a uint64 or a void of its words, kept in one sorted array of
-    the lattice so far.  The cap is checked after every batch, before its
-    new rows are inserted.  Rows are unpacked and lexsorted at the end.
+    one scalar, a uint64 or a void of its words.  The rows a frontier adds
+    are merged into the sorted lattice once, when the frontier is done, and
+    become the next frontier.  The cap is checked after every batch, on the
+    lattice so far plus the frontier's new rows.  Rows are unpacked and
+    lexsorted at the end.
     """
     gens = np.ascontiguousarray(matrix)
     count, ambient = gens.shape
@@ -113,7 +114,7 @@ def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
     picks = np.empty((step, count, words), dtype=np.uint64)
     joins = np.empty_like(picks)
     while len(frontier):
-        fresh = []
+        fresh, size = [], len(lattice)
         for lo in range(0, len(frontier), step):
             a = frontier[lo:lo + step, None, :]
             pick, join = picks[:len(a)], joins[:len(a)]
@@ -124,14 +125,17 @@ def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
             join &= pick
             join ^= packed
             batch = _sorted_distinct(join.reshape(-1, words).view(key).ravel())
-            at = np.searchsorted(lattice, batch)
-            known = at < len(lattice)
-            known[known] = lattice[at[known]] == batch[known]
-            new = batch[~known]
-            _check_cap(len(lattice) + len(new), cap)
-            lattice = np.insert(lattice, at[~known], new)
-            fresh.append(new)
-        frontier = np.concatenate(fresh).view(np.uint64).reshape(-1, words)
+            at = np.searchsorted(lattice, batch).clip(max=len(lattice) - 1)
+            fresh.append(batch[lattice[at] != batch])
+            size += len(fresh[-1])
+            if size > cap:
+                # batches of one frontier may share rows: count them exactly
+                fresh = [_sorted_distinct(np.concatenate(fresh))]
+                size = len(lattice) + len(fresh[0])
+                _check_cap(size, cap)
+        new = _sorted_distinct(np.concatenate(fresh))
+        lattice = np.insert(lattice, np.searchsorted(lattice, new), new)
+        frontier = new.view(np.uint64).reshape(-1, words)
     fields = (lattice.view(np.uint64).reshape(-1, words, 1) >> shifts) & np.uint64((1 << width) - 1)
     rows = fields.reshape(len(lattice), -1)[:, :ambient].astype(gens.dtype)
     return rows[np.lexsort(rows.T[::-1])]
@@ -174,22 +178,20 @@ def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialCo
 
     A subset F of supp(b) is a face when b - e_F is divisible by some
     generator g, that is when F lies in g's facet from `_facet_masks`.  The
-    faces are the subsets of the maximal facets, grouped by size and sorted,
-    which is `combinations` order, as tuples of the support's vertices.
+    faces are `_faces` of the maximal facets, as tuples of the support's
+    vertices, sorted within each size, which is `combinations` order.
     """
     support = tuple(v for v, e in enumerate(bexp) if e > 0)
     # one dtype on both sides keeps numpy's comparisons off the mixed-type loops
     masks = _facet_masks(np.asarray(gen_rows, dtype=np.int64),
                          np.array([bexp], dtype=np.int64))[0].tolist()
-    facets = [[v for j, v in enumerate(support) if facet >> j & 1]
-              for facet in _maximal(sorted({m for m in masks if m >= 0}, reverse=True))]
-    faces = {}
-    for size in range(max(map(len, facets), default=-1) + 1):
-        level: set[tuple[int, ...]] = set()
-        for vertices in facets:
-            level.update(combinations(vertices, size))
-        faces[size - 1] = sorted(level)
-    return SimplicialComplex(support, faces)
+    facets = _maximal(sorted({m for m in masks if m >= 0}, reverse=True))
+    if not facets:
+        return SimplicialComplex(support, {})
+    return SimplicialComplex(support, {
+        size - 1: sorted(tuple(v for j, v in enumerate(support) if face >> j & 1)
+                         for face in level)
+        for size, level in enumerate(_faces(facets))})
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -411,31 +413,96 @@ def _faces(facets: tuple[int, ...]) -> list[list[int]]:
     return levels
 
 
+def _symmetries(gens: np.ndarray) -> np.ndarray:
+    """The dihedral permutations of the variables that map the generator set
+    onto itself, one row of column indices each, the identity first.
+
+    Of the 2n rotations and reflections of the n variables, those that
+    keep the column sums are tested exactly: P is kept when the rows of
+    gens[:, P] are the rows of gens.  Rows compare as voids of their bytes,
+    sorted per candidate, in slices of at most max(`_CHUNK`, gens.size)
+    entries.  The kept permutations form a group, the dihedral group's
+    intersection with the generators' symmetries.
+    """
+    ambient = gens.shape[1]
+    turns = np.arange(ambient)
+    rotations = (turns[:, None] + turns) % ambient
+    # below three variables every reflection is a rotation
+    perms = np.concatenate([rotations, rotations[:, ::-1]]) if ambient > 2 else rotations
+    sums = gens.sum(axis=0)
+    perms = perms[(sums[perms] == sums).all(axis=1)]
+    row = np.dtype((np.void, gens.itemsize * ambient))
+    rows = np.sort(np.ascontiguousarray(gens).view(row)[:, 0])
+    kept = np.empty(len(perms), dtype=bool)
+    step = max(1, _CHUNK // gens.size)
+    for lo in range(0, len(perms), step):
+        images = gens[:, perms[lo:lo + step]].transpose(1, 0, 2)
+        images = np.ascontiguousarray(images).view(row)[..., 0]
+        images.sort(axis=1)
+        kept[lo:lo + step] = (images == rows).all(axis=1)
+    return perms[kept]
+
+
+def _orbits(points: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lex-least point of each orbit of `group` on the rows `points`,
+    with the orbit's size, in the order of `points`.
+
+    `points` must be closed under the group.  A point b is its orbit's
+    least when no image b[P] is lexicographically smaller, and its orbit has
+    |group| / |{P : b[P] = b}| points.  Worked in slices of at most `_CHUNK`
+    image entries.
+    """
+    least = np.empty(len(points), dtype=bool)
+    sizes = np.empty(len(points), dtype=np.int64)
+    step = max(1, _CHUNK // group.size)
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        b, images = chunk[:, None, :], chunk[:, group]
+        moved = images != b
+        # compared at the first column where an image differs from b, or at
+        # column 0 for b itself
+        first = moved.argmax(axis=2)[..., None]
+        smaller = np.take_along_axis(images < b, first, axis=2)
+        least[lo:lo + step] = ~smaller.any(axis=(1, 2))
+        sizes[lo:lo + step] = len(group) // (~moved.any(axis=2)).sum(axis=1)
+    return points[least], sizes[least]
+
+
 def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                  cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
     """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
 
     The upper Koszul complex at a lattice point b is the downward closure
     of its facets, one bitmask over the positions of supp(b) per generator
-    dividing b.  Many lattice points share a facet pattern, so homology is
-    computed once per (|supp b|, maximal facets) within this call, on the
-    pattern's strong-collapse core; a core that is a cone adds nothing.
+    dividing b.  A permutation P of the variables that maps the generators
+    onto themselves maps the complex at b onto the one at b[P], so
+    beta_(i, b[P]) = beta_(i, b): the table is summed over one point per
+    orbit of the `_symmetries` group, weighted by the orbit's size.  Many
+    points share a facet pattern, so homology is computed once per
+    (|supp b|, maximal facets) within this call, on the pattern's
+    strong-collapse core; a core that is a cone adds nothing.
     """
     check_prime(p)
     _check_nontrivial(ideal)
     gens = ideal.matrix()
-    lattice = _lattice_rows(gens, cap)
+    points = _lattice_rows(gens, cap)
+    group = _symmetries(gens)
+    if len(group) > 1:
+        points, orbit_sizes = _orbits(points, group)
+    else:
+        orbit_sizes = np.ones(len(points), dtype=np.int64)
     dims_by_pattern: dict[tuple, list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     step = max(1, _CHUNK // len(gens))
-    for lo in range(0, len(lattice), step):
-        points = lattice[lo:lo + step]
-        masks = _facet_masks(gens, points)
+    for lo in range(0, len(points), step):
+        chunk = points[lo:lo + step]
+        masks = _facet_masks(gens, chunk)
         counts = (masks >= 0).sum(axis=1).tolist()
         masks.sort(axis=1)
-        sizes = (points > 0).sum(axis=1).tolist()
-        degrees = points.sum(axis=1, dtype=np.int64).tolist()
-        for k, row, count, degree in zip(sizes, masks, counts, degrees):
+        sizes = (chunk > 0).sum(axis=1).tolist()
+        degrees = chunk.sum(axis=1, dtype=np.int64).tolist()
+        weights = orbit_sizes[lo:lo + step].tolist()
+        for k, row, count, degree, weight in zip(sizes, masks, counts, degrees, weights):
             # the facets of the generators dividing b, largest mask first
             facets = dict.fromkeys(row[::-1][:count].tolist())
             key = (k, _maximal(facets))
@@ -447,5 +514,5 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                 dims_by_pattern[key] = dims
             for i, h in enumerate(dims):
                 if h:
-                    entries[(i, degree)] = entries.get((i, degree), 0) + h
+                    entries[(i, degree)] = entries.get((i, degree), 0) + h * weight
     return BettiTable(entries, ideal.ambient, p)

@@ -550,13 +550,14 @@ def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
                  for s in range(lo_s, hi_s + 1)
                  for t in range(lo_t, hi_t + 1)]
         reports.extend(cross_validate(
-            cases, sweep.get("routes", ["closed", "oracle"]),
+            cases, sweep.get("routes", _DEFAULT_ROUTES),
             tuple(sweep.get("chars", [DEFAULT_PRIME])), cap))
     return reports
 
 
 _SWEEP_KEYS = ("kind", "n", "s", "t", "routes", "chars")
 _RANGE_DEFAULTS = {"n": [2, 2], "s": [0, 0], "t": [0, 0]}
+_DEFAULT_ROUTES = ["closed", "oracle"]
 _ITEM_NOUNS = {str: "strings", dict: "objects", int: "integers"}
 
 
@@ -569,7 +570,8 @@ def _check_config(config) -> None:
         if name != "all" and name not in SUITES:
             raise ValueError(f"config: unknown suite {name!r}; "
                              f"choices: {', '.join(SUITES)} or all")
-    for number, sweep in enumerate(_listed(config, "sweeps", dict, "config"), 1):
+    sweeps = _listed(config, "sweeps", dict, "config")
+    for number, sweep in enumerate(sweeps, 1):
         where = f"config sweep {number}"
         _check_keys(sweep, _SWEEP_KEYS, where)
         kind = sweep.get("kind")
@@ -582,9 +584,6 @@ def _check_config(config) -> None:
                     and all(type(b) is int for b in bounds)):
                 raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
                                  f"not {bounds!r}")
-        for route in _listed(sweep, "routes", str, where):
-            if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
-                raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
         for p in _listed(sweep, "chars", int, where):
             try:
                 check_prime(p)
@@ -596,6 +595,23 @@ def _check_config(config) -> None:
                 raise ValueError(f"{where}: {key!r} must be a range [lo, hi] with "
                                  f"{least} <= lo <= hi for {kind} families, "
                                  f"not {[lo, hi]!r}")
+        for route in _listed(sweep, "routes", str, where, _DEFAULT_ROUTES):
+            if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
+                raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
+        # long(n)^t has no s: a range would run each case once per s
+        if kind == "long-power" and sweep.get("s", [0, 0]) != [0, 0]:
+            raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
+                             f"not {sweep['s']!r}")
+    # then the members, once every sweep reads: the unit ideal has no lcm
+    # lattice.  reduced(2) and full(2) are the unit ideal, as is a product of
+    # zeroth powers, so a sweep's least member is unit if any member is.
+    for number, sweep in enumerate(sweeps, 1):
+        kind = sweep["kind"]
+        n, s, t = (sweep.get(key, _RANGE_DEFAULTS[key])[0] for key in ("n", "s", "t"))
+        if (kind == "mixed" and (n == 2 or s == t == 0)
+                or kind == "corner" and t == 0 and (s == 0 or n == 2)):
+            raise ValueError(f"config sweep {number}: {FamilyCase(kind, n, s, t).label()} "
+                             f"is the unit ideal; raise the range's lower bounds")
 
 
 def _check_keys(mapping: dict, known: tuple, where: str) -> None:
@@ -604,10 +620,10 @@ def _check_keys(mapping: dict, known: tuple, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
 
 
-def _listed(mapping: dict, key: str, item_type: type, where: str) -> list:
-    """mapping[key] (default []), checked to be a list of item_type (so no bools
+def _listed(mapping: dict, key: str, item_type: type, where: str, default=()) -> list:
+    """mapping[key] (or default), checked to be a list of item_type (so no bools
     pass for integers)."""
-    items = mapping.get(key, [])
+    items = mapping.get(key, list(default))
     if not (isinstance(items, list) and all(type(item) is item_type for item in items)):
         raise ValueError(f"{where}: {key!r} must be a list of {_ITEM_NOUNS[item_type]}, "
                          f"not {items!r}")

@@ -395,8 +395,16 @@ class TestVerifyCommand:
         ({"sweeps": [{"kind": "mixed", "n": [4, 4], "s": [-2, -1], "t": [1, 1],
                       "routes": ["closed", "recursion"]}]},
          "config sweep 1: 's' must be a range [lo, hi] with 0 <= lo <= hi"),
+        ({"suites": ["example-row"], "sweeps": [{"kind": "mixed", "n": [4, 4]}]},
+         "config sweep 1: mixed(n=4,s=0,t=0) is the unit ideal"),
+        ({"suites": ["example-row"],
+          "sweeps": [{"kind": "corner", "n": [4, 5], "routes": ["recursion", "oracle"]}]},
+         "config sweep 1: corner(n=4,s=0,t=0) is the unit ideal"),
+        ({"sweeps": [{"kind": "long-power", "n": [3, 3], "s": [0, 2], "t": [1, 1],
+                      "routes": ["closed", "recursion"]}]},
+         "config sweep 1: 's' must be [0, 0] for long-power families"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
-            "suites-string", "negative-s"])
+            "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -406,6 +414,21 @@ class TestVerifyCommand:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert message in done.stderr
+
+
+class TestClosedPipe:
+    def test_no_traceback_when_the_reader_leaves(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        child = subprocess.Popen([sys.executable, "-m", "cyclebetti", "verify", "example-row"],
+                                 env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                 text=True)
+        child.stdout.close()
+        try:
+            err = child.communicate(timeout=60)[1]
+        finally:
+            child.kill()
+        assert err == ""  # no traceback, and no message either
+        assert child.returncode == 1
 
 
 class TestEmit:

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclebetti.families import (cycle_path_ideal, long_path_ideal,
+from cyclebetti.families import (corner_power, cycle_path_ideal, long_path_ideal,
                                  mixed_power, short_path_ideal)
 from cyclebetti import oracle
 from cyclebetti.cli import build_ideal
 from cyclebetti.monomials import MAX_EXPONENT, Monomial, MonomialIdeal, variable
-from cyclebetti.oracle import (PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
+from cyclebetti.oracle import (DEFAULT_PRIME, PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
                                SimplicialComplex, _faces, _is_prime,
                                _koszul_complex, _mask_homology, _rank_mod_p,
                                _strong_core, check_prime, graded_betti,
@@ -300,11 +300,12 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def facet_patterns(I):
-    """Distinct (|supp b|, maximal faces as position masks) over the lattice,
-    read off the upper Koszul complexes themselves."""
+def facet_patterns(I, points=None):
+    """Distinct (|supp b|, maximal faces as position masks) over the points
+    (by default the whole lattice), read off the upper Koszul complexes
+    themselves."""
     patterns = set()
-    for b in lcm_lattice(I):
+    for b in lcm_lattice(I) if points is None else points:
         cx = upper_koszul(I, Monomial(b))
         position = {v: j for j, v in enumerate(cx.vertices)}
         faces = [set(f) for level in cx.faces.values() for f in level]
@@ -312,6 +313,13 @@ def facet_patterns(I):
             sum(1 << position[v] for v in f)
             for f in faces if not any(f < other for other in faces))))
     return patterns
+
+
+def orbit_points(I):
+    """The lattice points `graded_betti` ranks: one per orbit of the
+    detected symmetry group."""
+    points, _ = oracle._orbits(np.array(lcm_lattice(I)), oracle._symmetries(I.matrix()))
+    return [tuple(b) for b in points.tolist()]
 
 
 def non_cone_patterns(patterns):
@@ -352,9 +360,11 @@ class TestPatternMemo:
         collapses = count_calls(monkeypatch, "_strong_core")
         kernels = count_calls(monkeypatch, "_mask_homology")
         graded_betti(I, 2)
-        patterns = facet_patterns(I)
+        patterns = facet_patterns(I, orbit_points(I))
         assert collapses[0] == len(patterns)
         assert kernels[0] == non_cone_patterns(patterns)
+        # each family is fixed by a reflection at least, so orbits save patterns
+        assert collapses[0] < len(facet_patterns(I))
 
 
 def mask_complex(facets, k):
@@ -422,6 +432,91 @@ def facet_sets(draw):
     k = draw(st.integers(0, 6))
     masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
     return k, oracle._maximal(sorted(set(masks), reverse=True))
+
+
+def relabelled(I, perm):
+    """I with its variables permuted: column j of each generator is column
+    perm[j] of the old one."""
+    return MonomialIdeal(np.ascontiguousarray(I.matrix()[:, list(perm)]))
+
+
+def unreduced_betti(I, p):
+    """graded_betti with the symmetry group cut to the identity, so every
+    lattice point is ranked on its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_symmetries", lambda gens: np.arange(gens.shape[1])[None])
+        return graded_betti(I, p)
+
+
+def dihedral_closure(rows, n):
+    """Every rotation and reflection of every row, so the ideal they
+    generate is fixed by the whole dihedral group."""
+    return {tuple(row[(k + d * j) % n] for j in range(n))
+            for row in rows for k in range(n) for d in (1, -1)}
+
+
+@st.composite
+def small_ideals(draw):
+    """Random generators over 2..5 variables, either as drawn or closed
+    under the dihedral group."""
+    n = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        rows = dihedral_closure(rows, n)
+    return MonomialIdeal([Monomial(r) for r in rows], n)
+
+
+SMALL_MEMBERS = [cycle_path_ideal(6, 2) ** 2, cycle_path_ideal(7, 3), long_path_ideal(5) ** 2,
+                 short_path_ideal(6) ** 2, mixed_power(6, 1, 1), corner_power(6, 1, 2)]
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("I", [cycle_path_ideal(8, 2) ** 3, cycle_path_ideal(9, 4) ** 2,
+                                   long_path_ideal(7) ** 2, short_path_ideal(7) ** 3],
+                             ids=["Jc(8,2)^3", "Jc(9,4)^2", "Jc(7,6)^2", "I(7)^3"])
+    def test_family_powers_keep_the_dihedral_group(self, I):
+        assert len(oracle._symmetries(I.matrix())) == 2 * I.ambient
+
+    @pytest.mark.parametrize("I", [mixed_power(6, 1, 1), mixed_power(7, 2, 1),
+                                   corner_power(6, 1, 2), corner_power(7, 2, 1)],
+                             ids=["mixed(6,1,1)", "mixed(7,2,1)", "corner(6,1,2)",
+                                  "corner(7,2,1)"])
+    def test_reduced_members_keep_one_reflection(self, I):
+        assert len(oracle._symmetries(I.matrix())) == 2
+
+    @pytest.mark.parametrize("I", SMALL_MEMBERS + [TRIANGLE, TWO_WORDS, ideal((2, 1))])
+    def test_group_maps_generators_onto_themselves(self, I):
+        gens = I.matrix()
+        group = oracle._symmetries(gens)
+        assert group[0].tolist() == list(range(I.ambient))
+        rows = set(map(tuple, gens.tolist()))
+        for perm in group:
+            assert set(map(tuple, gens[:, perm].tolist())) == rows
+
+    @pytest.mark.parametrize("I", SMALL_MEMBERS + [TRIANGLE, build_ideal("m(x1,x2,x3,x4)^3")])
+    def test_orbits_partition_the_lattice(self, I):
+        lattice = lcm_lattice(I)
+        group = oracle._symmetries(I.matrix()).tolist()
+        orbits = {b: {tuple(b[j] for j in perm) for perm in group} for b in lattice}
+        points, sizes = oracle._orbits(np.array(lattice), np.array(group))
+        assert [tuple(b) for b in points.tolist()] == [b for b in lattice if b == min(orbits[b])]
+        assert sizes.tolist() == [len(orbits[tuple(b)]) for b in points.tolist()]
+        assert sizes.sum() == len(lattice)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_ideals(), st.sampled_from([2, 32003]))
+    def test_reduced_table_equals_unreduced(self, I, p):
+        if I.is_unit():
+            return
+        assert graded_betti(I, p) == unreduced_betti(I, p)
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(SMALL_MEMBERS).flatmap(
+        lambda I: st.tuples(st.just(I), st.permutations(range(I.ambient)))))
+    def test_relabelled_members_equal_unreduced(self, member):
+        I, perm = member
+        J = relabelled(I, perm)
+        assert graded_betti(J) == unreduced_betti(J, DEFAULT_PRIME) == graded_betti(I)
 
 
 class TestBettiTable:

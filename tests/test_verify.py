@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import product
 
 import pytest
 
@@ -117,6 +118,18 @@ class TestSuites:
         reports = run_config(config)
         assert len(reports) == 8 and all(r.ok for r in reports)
 
+    @pytest.mark.parametrize("kind", ["mixed", "corner"])
+    def test_refuses_exactly_the_unit_members(self, kind):
+        for n, s, t in product(range(2, 5), range(3), range(3)):
+            config = {"sweeps": [{"kind": kind, "n": [n, n], "s": [s, s], "t": [t, t],
+                                  "routes": ["recursion"]}]}
+            unit = FamilyCase(kind, n, s, t).ideal().is_unit()
+            if unit:
+                with pytest.raises(ValueError, match="is the unit ideal"):
+                    verify._check_config(config)
+            else:
+                verify._check_config(config)
+
     def test_config_suites_key(self):
         reports = run_config({"suites": ["example-row"]})
         assert len(reports) == 1 and reports[0].ok
@@ -149,10 +162,23 @@ class TestSuites:
          "long-power families"),
         ({"sweeps": [{"kind": "long-power", "n": [3, 4]}]},
          "config sweep 1: 't' must be a range [lo, hi] with 1 <= lo <= hi"),
+        ({"sweeps": [{"kind": "long-power", "n": [3, 3], "s": [0, 2], "t": [1, 1],
+                      "routes": ["closed", "recursion"]}]},
+         "config sweep 1: 's' must be [0, 0] for long-power families, not [0, 2]"),
+        ({"sweeps": [{"kind": "mixed", "n": [4, 4]}]},
+         "config sweep 1: mixed(n=4,s=0,t=0) is the unit ideal"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 4], "t": [1, 1]},
+                     {"kind": "mixed", "t": [1, 2], "routes": ["closed"]}]},
+         "config sweep 2: mixed(n=2,s=0,t=1) is the unit ideal"),
+        ({"sweeps": [{"kind": "corner", "n": [4, 6], "routes": ["recursion"]}]},
+         "config sweep 1: corner(n=4,s=0,t=0) is the unit ideal"),
+        ({"sweeps": [{"kind": "corner", "n": [4, 4], "t": [1, 1]}]},
+         "config sweep 1: route 'closed' not applicable to corner families"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
-            "lo-above-hi", "long-power-t0", "long-power-default-t"])
+            "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
+            "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
