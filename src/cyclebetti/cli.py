@@ -84,10 +84,12 @@ class BinOp:
     right: object
 
 
-_TOKEN_RE = re.compile(r"\s*(x\d+|[A-Za-z]+|\d+|[()^*+&,])")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<var>x\d+)|(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>[()^*+&,]))")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) per token; an operator is its own kind."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -97,17 +99,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 raise ParseError(f"syntax error at position {pos}: "
                                  f"unexpected {text[pos]!r}")
             break
-        tok = match.group(1)
-        start = match.end(1) - len(tok)
-        if re.fullmatch(r"x\d+", tok):
-            kind = "var"
-        elif tok.isdigit():
-            kind = "int"
-        elif tok.isalpha():
-            kind = "name"
-        else:
-            kind = tok
-        tokens.append((kind, tok, start))
+        kind = match.lastgroup
+        tok = match[kind]
+        tokens.append((tok if kind == "op" else kind, tok, match.start(kind)))
         pos = match.end()
     return tokens
 
@@ -229,32 +223,6 @@ class _Parser:
 def parse_ideal(text: str):
     """Parse an ideal expression into its syntax tree."""
     return _Parser(text).parse()
-
-
-def expression_text(node, parent_level: int = 0) -> str:
-    """Print a tree back to the grammar (round-trips through parse_ideal)."""
-    if isinstance(node, CycleAtom):
-        return f"Jc({node.n},{node.m})"
-    if isinstance(node, ShortAtom):
-        return f"I({node.n})"
-    if isinstance(node, ReducedAtom):
-        return f"J({node.n})"
-    if isinstance(node, VarsAtom):
-        return "m(" + ",".join(f"x{i}" for i in node.indices) + ")"
-    if isinstance(node, LiteralAtom):
-        def mono(pairs):
-            if not pairs:
-                return "1"
-            return "*".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in pairs)
-        return "(" + ", ".join(mono(m) for m in node.monomials) + ")"
-    if isinstance(node, Power):
-        return f"{expression_text(node.base, 2)}^{node.exp}"
-    if isinstance(node, BinOp):
-        level = 1 if node.op == "*" else 0
-        text = (f"{expression_text(node.left, level)} {node.op} "
-                f"{expression_text(node.right, level + 1)}")
-        return f"({text})" if level < parent_level else text
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -446,32 +414,38 @@ def emit_betti_table(table: BettiTable, fmt: str = "text") -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _check_not_unit(case: FamilyCase) -> None:
-    """reduced(n)^s * full(n)^t is the unit ideal when n = 2 or s = t = 0."""
-    if case.kind == "mixed" and (case.n == 2 or case.s == case.t == 0):
+def _oracle_ideal(node, ambient: int) -> MonomialIdeal:
+    """The ideal the oracle ranks; the zero and unit ideals have no lcm lattice."""
+    ideal = evaluate(node, ambient)
+    if ideal.is_zero() or ideal.is_unit():
+        raise ParseError("the zero and unit ideals have no Betti table or pd")
+    return ideal
+
+
+def _family_case(node, ambient: int, route: str) -> FamilyCase:
+    """The family member the closed and recursive routes answer for."""
+    case = classify_family(node, ambient)
+    if case is None:
+        raise ParseError(
+            f"--route {route} only covers long-power, reduced^s*full^t "
+            "and reduced^s*m(x1,xn)^t expressions; use --route oracle")
+    if case.is_unit():
         raise ParseError("the unit ideal has no Betti table or pd")
+    return case
 
 
 def _cmd_table(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     if args.route == "oracle":
-        ideal = evaluate(node, ambient)
-        if ideal.is_zero() or ideal.is_unit():
-            raise ParseError("the zero and unit ideals have no Betti table")
-        table = graded_betti(ideal, args.char, args.lattice_cap)
+        table = graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap)
     else:
-        case = classify_family(node, ambient)
-        route = "closed" if args.route == "formula" else "recursion"
-        if case is None:
-            raise ParseError(
-                f"--route {args.route} only covers long-power, reduced^s*full^t "
-                "and reduced^s*m(x1,xn)^t expressions; use --route oracle")
-        if case.kind == "corner" and route == "closed":
+        case = _family_case(node, ambient, args.route)
+        if case.kind == "corner" and args.route == "formula":
             raise ParseError(
                 "no closed formula for corner families; "
                 "use --route recursion or --route oracle")
-        _check_not_unit(case)
+        route = "closed" if args.route == "formula" else "recursion"
         totals = route_totals(case, route, strict_delta=args.strict_delta)
         table = BettiTable.from_totals(totals, case.initial_degree(), ambient)
     print(emit_betti_table(table, args.format))
@@ -482,16 +456,9 @@ def _cmd_pd(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     if args.route == "oracle":
-        ideal = evaluate(node, ambient)
-        if ideal.is_zero() or ideal.is_unit():
-            raise ParseError("pd of the zero/unit ideal is not defined here")
-        print(graded_betti(ideal, args.char, args.lattice_cap).pd())
+        print(graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap).pd())
         return 0
-    case = classify_family(node, ambient)
-    if case is None:
-        raise ParseError(f"--route {args.route} needs a recognized family; "
-                         "use --route oracle")
-    _check_not_unit(case)
+    case = _family_case(node, ambient, args.route)
     if args.route == "closed":
         closed = case.closed_pd_reg()
         if closed is None:
@@ -518,7 +485,7 @@ def _cmd_gf(args) -> int:
 def _cmd_split(args) -> int:
     nodes = [parse_ideal(text) for text in (args.total, args.left, args.right)]
     ambient = resolve_ambient(*nodes)
-    total, left, right = (evaluate(node, ambient) for node in nodes)
+    total, left, right = (_oracle_ideal(node, ambient) for node in nodes)
     if total != left + right:
         raise ParseError("not a decomposition: the first ideal must equal "
                          "the sum of the other two")
@@ -537,8 +504,6 @@ def _cmd_verify(args) -> int:
             reports = verify.run_config(config, args.lattice_cap, args.seed)
         else:
             reports = verify.run_suite(args.suite, args.lattice_cap, args.seed)
-    except KeyError as exc:  # str() of a KeyError is the repr of its message
-        raise ParseError(exc.args[0]) from None
     except (ValueError, OSError) as exc:
         raise ParseError(str(exc)) from None
     ok = True

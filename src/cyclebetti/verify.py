@@ -109,6 +109,16 @@ class FamilyCase:
             return formulas.short_path_pd_reg(self.n, self.s, self.t)
         return None
 
+    def is_unit(self) -> bool:
+        """Whether the member is the unit ideal, read off its parameters
+        without building it: reduced(2) and full(2) are the unit ideal, as is
+        a product of zeroth powers."""
+        if self.kind == "long-power":
+            return self.t == 0
+        if self.kind == "mixed":
+            return self.n == 2 or self.s == self.t == 0
+        return self.t == 0 and (self.s == 0 or self.n == 2)
+
 
 def _strip(seq) -> list[int]:
     seq = list(seq)
@@ -358,15 +368,20 @@ def suite_splittings(cap: int, seed: int) -> list[Report]:
                     total, left, right, DEFAULT_PRIME, cap,
                     label=f"long-power split n={n} s={s} t={t}"))
 
-    # (b) every chain step of the mixed and corner decompositions
+    # (b) every chain step of the mixed and corner decompositions, each tail
+    # built once from the top piece down: tail(j) = piece(j) + xn * tail(j+1)
     for n in (4, 5):
         for s in range(0, 3):
             for t in range(0, 3):
                 for family in ("mixed", "corner"):
-                    for j in range(s + t):
+                    steps = []
+                    tail = families.chain_piece(n, s, t, s + t, family)
+                    for j in reversed(range(s + t)):
                         piece = families.chain_piece(n, s, t, j, family)
-                        rest = variable(n, n) * families.chain_tail(n, s, t, j + 1, family)
-                        total = families.chain_tail(n, s, t, j, family)
+                        rest = variable(n, n) * tail
+                        tail = piece + rest
+                        steps.append((j, tail, piece, rest))
+                    for j, total, piece, rest in reversed(steps):
                         reports.append(check_splitting(
                             total, piece, rest, DEFAULT_PRIME, cap,
                             label=f"{family} chain split n={n} s={s} t={t} j={j}"))
@@ -524,7 +539,7 @@ def run_suite(name: str, cap: int = DEFAULT_LATTICE_CAP,
     if name == "all":
         return [report for fn in SUITES.values() for report in fn(cap, seed)]
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
+        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
     return SUITES[name](cap, seed)
 
 
@@ -603,14 +618,12 @@ def _check_config(config) -> None:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
                              f"not {sweep['s']!r}")
     # then the members, once every sweep reads: the unit ideal has no lcm
-    # lattice.  reduced(2) and full(2) are the unit ideal, as is a product of
-    # zeroth powers, so a sweep's least member is unit if any member is.
+    # lattice, and a sweep's least member is unit if any member is
     for number, sweep in enumerate(sweeps, 1):
-        kind = sweep["kind"]
-        n, s, t = (sweep.get(key, _RANGE_DEFAULTS[key])[0] for key in ("n", "s", "t"))
-        if (kind == "mixed" and (n == 2 or s == t == 0)
-                or kind == "corner" and t == 0 and (s == 0 or n == 2)):
-            raise ValueError(f"config sweep {number}: {FamilyCase(kind, n, s, t).label()} "
+        least = FamilyCase(sweep["kind"], *(sweep.get(key, _RANGE_DEFAULTS[key])[0]
+                                            for key in ("n", "s", "t")))
+        if least.is_unit():
+            raise ValueError(f"config sweep {number}: {least.label()} "
                              f"is the unit ideal; raise the range's lower bounds")
 
 

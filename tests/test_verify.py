@@ -58,6 +58,19 @@ class TestCheckSplitting:
         assert runs[0].witness == runs[1].witness
 
 
+class TestFamilyCase:
+    @pytest.mark.parametrize("kind", ["long-power", "mixed", "corner"])
+    def test_is_unit_matches_the_ideal(self, kind):
+        for n, s, t in product(range(2, 6), range(3), range(3)):
+            case = FamilyCase(kind, n, s, t)
+            assert case.is_unit() == case.ideal().is_unit(), case
+
+    def test_is_unit_builds_no_ideal(self, monkeypatch):
+        # the formula routes answer for members the monomial layer cannot build
+        monkeypatch.setattr(FamilyCase, "ideal", None)
+        assert not FamilyCase("mixed", 240, 60, 60).is_unit()
+
+
 class TestRouteTotals:
     def test_long_power_routes_agree(self):
         case = FamilyCase("long-power", 4, 0, 2)
@@ -91,7 +104,8 @@ class TestCrossValidate:
 
 class TestSuites:
     def test_unknown_suite(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^unknown suite 'nope'; choices: example-row, "
+                                             r".*, support-facts or all$"):
             run_suite("nope")
 
     def test_example_row_suite(self):
