@@ -506,9 +506,11 @@ def _cmd_verify(args) -> int:
             reports = verify.run_suite(args.suite, args.lattice_cap, args.seed)
     except (ValueError, OSError) as exc:
         raise ParseError(str(exc)) from None
+    # outside the try: a fault raised while a suite runs is no usage fault;
+    # each line is flushed, so a pipe reader has it as soon as its case ends
     ok = True
     for report in reports:
-        print(report.to_json())
+        print(report.to_json(), flush=True)
         ok = ok and report.ok
     return 0 if ok else 1
 

@@ -1,8 +1,9 @@
 """Cross-route validation: splitting audits and formula/recursion/oracle sweeps.
 
 Every comparison is exact integer equality; there are no tolerances
-anywhere.  Results come back as Report records that serialize to JSON
-lines, one per line, schema {case, status, witness?, millis}.
+anywhere.  Results stream as Report records, each yielded as soon as its
+case finishes, that serialize to JSON lines, one per line, schema
+{case, status, witness?, millis, route_millis?}.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import functools
 import json
 import random
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import families, formulas, recursion
@@ -24,6 +26,8 @@ class Report:
     status: str  # "match" | "mismatch" | "skipped"
     witness: dict | None = None
     millis: int = 0
+    # cross-validation reports only: milliseconds per expanded route name
+    route_millis: dict[str, int] | None = None
 
     @property
     def ok(self) -> bool:
@@ -34,6 +38,8 @@ class Report:
         if self.witness is not None:
             payload["witness"] = self.witness
         payload["millis"] = self.millis
+        if self.route_millis is not None:
+            payload["route_millis"] = self.route_millis
         return json.dumps(payload)
 
 
@@ -176,14 +182,14 @@ def _compare_totals(pairs):
 
 
 def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
-                   cap=DEFAULT_LATTICE_CAP) -> list[Report]:
+                   cap=DEFAULT_LATTICE_CAP) -> Iterator[Report]:
     """Compare total Betti sequences across routes, case by case.
 
     The oracle route is expanded once per characteristic and additionally
     audited for single-row linearity and for pd/reg against the closed
-    formulas (when the case has them).
+    formulas (when the case has them).  Each comparison report carries the
+    milliseconds of every expanded route in route_millis.
     """
-    reports = []
     for case in cases:
         expanded = []
         for route in routes:
@@ -192,19 +198,25 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
             else:
                 expanded.append((route, None))
 
+        route_millis = {}
+
         def compute():
             pairs = []
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
+                start = time.perf_counter()
                 pairs.append((name, route_totals(
                     case, route, char=p or DEFAULT_PRIME, cap=cap)))
+                route_millis[name] = int((time.perf_counter() - start) * 1000)
             return _compare_totals(pairs)
 
-        reports.append(_timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
-                              compute))
-        reports.extend(_audit_oracle(case, p, cap) for route, p in expanded
-                       if route == "oracle")
-    return reports
+        report = _timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
+                        compute)
+        report.route_millis = route_millis
+        yield report
+        for route, p in expanded:
+            if route == "oracle":
+                yield _audit_oracle(case, p, cap)
 
 
 def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
@@ -267,8 +279,8 @@ def total_label(total, left, right) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Named suites, each called as fn(cap, seed).  Their fixed parameters encode
-# the acceptance criteria.
+# Named suites, each called as fn(cap, seed) and yielding its reports one
+# case at a time.  Their fixed parameters encode the acceptance criteria.
 # ---------------------------------------------------------------------------
 
 DEFAULT_SEED = 20240613
@@ -283,7 +295,7 @@ LONG_DESK_SET = tuple((n, t) for n in (3, 4, 5) for t in (1, 2, 3)) + ((6, 1), (
 SHORT_DESK_SET = ((4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1))
 
 
-def suite_example_row(cap: int, seed: int) -> list[Report]:
+def suite_example_row(cap: int, seed: int) -> Iterator[Report]:
     n, t = EXAMPLE_ROW_N, EXAMPLE_ROW_T
 
     def compute():
@@ -298,22 +310,21 @@ def suite_example_row(cap: int, seed: int) -> list[Report]:
             return {"aspect": "vanishing", "i": pd + 1}
         return None
 
-    return [_timed(f"example row short-power(n={n},t={t})", compute)]
+    yield _timed(f"example row short-power(n={n},t={t})", compute)
 
 
-def suite_long_path_oracle(cap: int, seed: int) -> list[Report]:
+def suite_long_path_oracle(cap: int, seed: int) -> Iterator[Report]:
     cases = [FamilyCase("long-power", n, 0, t) for n, t in LONG_DESK_SET]
     return cross_validate(cases, ["closed", "oracle"], chars=(2, DEFAULT_PRIME), cap=cap)
 
 
-def suite_short_path_oracle(cap: int, seed: int) -> list[Report]:
+def suite_short_path_oracle(cap: int, seed: int) -> Iterator[Report]:
     cases = [FamilyCase("mixed", n, 0, t) for n, t in SHORT_DESK_SET]
     return cross_validate(cases, ["closed", "oracle"], cap=cap)
 
 
-def suite_main_identity(cap: int, seed: int) -> list[Report]:
+def suite_main_identity(cap: int, seed: int) -> Iterator[Report]:
     n_max, st_max = 12, 8
-    reports = []
     for n in range(2, n_max + 1):
         def compute(n=n):
             for s in range(st_max + 1):
@@ -325,14 +336,11 @@ def suite_main_identity(cap: int, seed: int) -> list[Report]:
                             return {"s": s, "t": t, "i": i,
                                     "values": [str(a), str(b)]}
             return None
-        reports.append(_timed(
-            f"main identity recursion==closed n={n} s,t<={st_max}", compute))
-    return reports
+        yield _timed(f"main identity recursion==closed n={n} s,t<={st_max}", compute)
 
 
-def suite_three_route(cap: int, seed: int) -> list[Report]:
+def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
     n_max, t_max = 10, 8
-    reports = []
     for n in range(2, n_max + 1):
         def compute(n=n):
             for t in range(1, t_max + 1):
@@ -344,16 +352,12 @@ def suite_three_route(cap: int, seed: int) -> list[Report]:
                         return {"t": t, "i": i,
                                 "values": [str(rec), str(gf), str(closed)]}
             return None
-        reports.append(_timed(
-            f"three-route long-power n={n} t<={t_max}", compute))
-    reports.extend(_audit_oracle(FamilyCase("long-power", n, 0, t), DEFAULT_PRIME, cap)
-                   for n, t in LONG_DESK_SET)
-    return reports
+        yield _timed(f"three-route long-power n={n} t<={t_max}", compute)
+    for n, t in LONG_DESK_SET:
+        yield _audit_oracle(FamilyCase("long-power", n, 0, t), DEFAULT_PRIME, cap)
 
 
-def suite_splittings(cap: int, seed: int) -> list[Report]:
-    reports = []
-
+def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
     # (a) splitting off the first generator of the long-path product
     for n in (4, 5):
         f1 = families.path_generator(n, 1, n - 1)
@@ -364,9 +368,8 @@ def suite_splittings(cap: int, seed: int) -> list[Report]:
                 total = below ** s * here ** t
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * (below ** (s + 1) * here ** (t - 1))
-                reports.append(check_splitting(
-                    total, left, right, DEFAULT_PRIME, cap,
-                    label=f"long-power split n={n} s={s} t={t}"))
+                yield check_splitting(total, left, right, DEFAULT_PRIME, cap,
+                                      label=f"long-power split n={n} s={s} t={t}")
 
     # (b) every chain step of the mixed and corner decompositions, each tail
     # built once from the top piece down: tail(j) = piece(j) + xn * tail(j+1)
@@ -382,14 +385,14 @@ def suite_splittings(cap: int, seed: int) -> list[Report]:
                         tail = piece + rest
                         steps.append((j, tail, piece, rest))
                     for j, total, piece, rest in reversed(steps):
-                        reports.append(check_splitting(
+                        yield check_splitting(
                             total, piece, rest, DEFAULT_PRIME, cap,
-                            label=f"{family} chain split n={n} s={s} t={t} j={j}"))
-                        reports.append(_timed(
+                            label=f"{family} chain split n={n} s={s} t={t} j={j}")
+                        yield _timed(
                             f"{family} chain intersection n={n} s={s} t={t} j={j}",
                             lambda piece=piece, rest=rest, n=n: (
                                 None if (piece & rest) == variable(n, n) * piece
-                                else {"aspect": "intersection identity"})))
+                                else {"aspect": "intersection identity"}))
 
     # (c) splitting off the first generator of the stacked reduced product
     for n in (4, 5):
@@ -400,15 +403,12 @@ def suite_splittings(cap: int, seed: int) -> list[Report]:
                 total = families.stacked_reduced_power(n, s, t)
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * families.stacked_reduced_power(n, s + 1, t - 1)
-                reports.append(check_splitting(
-                    total, left, right, DEFAULT_PRIME, cap,
-                    label=f"stacked split n={n} s={s} t={t}"))
-    return reports
+                yield check_splitting(total, left, right, DEFAULT_PRIME, cap,
+                                      label=f"stacked split n={n} s={s} t={t}")
 
 
-def suite_residuals(cap: int, seed: int) -> list[Report]:
+def suite_residuals(cap: int, seed: int) -> Iterator[Report]:
     rng = random.Random(seed)
-    reports = []
 
     def sweep(name, draw, evaluate):
         def compute():
@@ -417,19 +417,19 @@ def suite_residuals(cap: int, seed: int) -> list[Report]:
                 if evaluate(*args) != 0:
                     return {"args": list(args)}
             return None
-        reports.append(_timed(name, compute))
+        return _timed(name, compute)
 
-    sweep("shift residual, recursion route",
+    yield sweep("shift residual, recursion route",
           lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)),
           lambda n, s, i: recursion.shift_residual(n, s, i, "recursion"))
-    sweep("exchange residual, recursion route",
+    yield sweep("exchange residual, recursion route",
           lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(2, 8),
                    rng.randint(0, 24)),
           lambda n, s, t, i: recursion.exchange_residual(n, s, t, i, "recursion"))
-    sweep("shift residual, closed route",
+    yield sweep("shift residual, closed route",
           lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(0, 24)),
           lambda n, s, i: recursion.shift_residual(n, s, i, "closed"))
-    sweep("exchange residual, closed route",
+    yield sweep("exchange residual, closed route",
           lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(2, 10),
                    rng.randint(0, 28)),
           lambda n, s, t, i: recursion.exchange_residual(n, s, t, i, "closed"))
@@ -445,19 +445,17 @@ def suite_residuals(cap: int, seed: int) -> list[Report]:
                - s * binom(n + s + 1, m + 1) + binom(n + s + 1, m + 2)
                - binom(n + 1, m + 2))
 
-    sweep("binomial identities",
+    yield sweep("binomial identities",
           lambda: (rng.randint(2, 60), rng.randint(0, 60), rng.randint(0, 60)),
           lambda n, m, s: sum(abs(r) for r in binomial_residuals(n, m, s)))
-    return reports
 
 
-def suite_delta_edge(cap: int, seed: int) -> list[Report]:
+def suite_delta_edge(cap: int, seed: int) -> Iterator[Report]:
     """The corner-chain closed form over-counts at s = 0; the chain multiset
     is what the oracle confirms.  Both facts are asserted, so the discrepancy
     is a tested statement rather than a silent patch."""
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
-    reports = []
 
     def compute_default():
         got = recursion.corner_rec(n, 0, t, 0)
@@ -471,15 +469,11 @@ def suite_delta_edge(cap: int, seed: int) -> list[Report]:
         return None if got == t + 2 and want == t + 1 else \
             {"values": [str(got), str(want)]}
 
-    reports.append(_timed(f"delta edge default corner(n={n},t={t})", compute_default))
-    reports.append(_timed(f"delta edge strict over-counts corner(n={n},t={t})",
-                          compute_strict))
-    return reports
+    yield _timed(f"delta edge default corner(n={n},t={t})", compute_default)
+    yield _timed(f"delta edge strict over-counts corner(n={n},t={t})", compute_strict)
 
 
-def suite_support_facts(cap: int, seed: int) -> list[Report]:
-    reports = []
-
+def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
     def marginal_multiplicity():
         for total in range(2, 13):
             for t in range(1, total + 1):
@@ -513,11 +507,9 @@ def suite_support_facts(cap: int, seed: int) -> list[Report]:
                                 "values": [rec, closed, support]}
         return None
 
-    reports.append(_timed("composed support multiplicity at (s+t-2, 1)",
-                          marginal_multiplicity))
-    reports.append(_timed("composed support inside envelope", containment))
-    reports.append(_timed("pd recursion == closed == support", pd_agreement))
-    return reports
+    yield _timed("composed support multiplicity at (s+t-2, 1)", marginal_multiplicity)
+    yield _timed("composed support inside envelope", containment)
+    yield _timed("pd recursion == closed == support", pd_agreement)
 
 
 SUITES = {
@@ -534,40 +526,45 @@ SUITES = {
 
 
 def run_suite(name: str, cap: int = DEFAULT_LATTICE_CAP,
-              seed: int = DEFAULT_SEED) -> list[Report]:
-    """Run one named suite, or every suite for name == "all"."""
+              seed: int = DEFAULT_SEED) -> Iterator[Report]:
+    """The reports of one named suite, or of every suite in turn for name ==
+    "all", as an iterator.  An unknown name raises ValueError at the call;
+    each suite starts only when its first report is asked for."""
     if name == "all":
-        return [report for fn in SUITES.values() for report in fn(cap, seed)]
+        return (report for fn in SUITES.values() for report in fn(cap, seed))
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
     return SUITES[name](cap, seed)
 
 
 def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
-               seed: int = DEFAULT_SEED) -> list[Report]:
+               seed: int = DEFAULT_SEED) -> Iterator[Report]:
     """Run a config of the shape {"suites": [...]} and/or {"sweeps": [...]}.
 
     Each sweep gives a family kind, inclusive [lo, hi] ranges for its
     parameters, a route list, and optionally characteristics.  The whole
-    config is checked before anything runs: a malformed one, or a range
-    outside its family's domain, raises ValueError.
+    config is checked at the call, before anything runs: a malformed one,
+    or a range outside its family's domain, raises ValueError.  The reports
+    then come back as an iterator.
     """
     _check_config(config)
-    reports = []
-    for name in config.get("suites", []):
-        reports.extend(run_suite(name, cap, seed))
-    for sweep in config.get("sweeps", []):
-        lo_n, hi_n = sweep.get("n", _RANGE_DEFAULTS["n"])
-        lo_s, hi_s = sweep.get("s", _RANGE_DEFAULTS["s"])
-        lo_t, hi_t = sweep.get("t", _RANGE_DEFAULTS["t"])
-        cases = [FamilyCase(sweep["kind"], n, s, t)
-                 for n in range(lo_n, hi_n + 1)
-                 for s in range(lo_s, hi_s + 1)
-                 for t in range(lo_t, hi_t + 1)]
-        reports.extend(cross_validate(
-            cases, sweep.get("routes", _DEFAULT_ROUTES),
-            tuple(sweep.get("chars", [DEFAULT_PRIME])), cap))
-    return reports
+
+    def reports():
+        for name in config.get("suites", []):
+            yield from run_suite(name, cap, seed)
+        for sweep in config.get("sweeps", []):
+            lo_n, hi_n = sweep.get("n", _RANGE_DEFAULTS["n"])
+            lo_s, hi_s = sweep.get("s", _RANGE_DEFAULTS["s"])
+            lo_t, hi_t = sweep.get("t", _RANGE_DEFAULTS["t"])
+            cases = [FamilyCase(sweep["kind"], n, s, t)
+                     for n in range(lo_n, hi_n + 1)
+                     for s in range(lo_s, hi_s + 1)
+                     for t in range(lo_t, hi_t + 1)]
+            yield from cross_validate(
+                cases, sweep.get("routes", _DEFAULT_ROUTES),
+                tuple(sweep.get("chars", [DEFAULT_PRIME])), cap)
+
+    return reports()
 
 
 _SWEEP_KEYS = ("kind", "n", "s", "t", "routes", "chars")

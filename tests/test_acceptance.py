@@ -23,7 +23,7 @@ def report(number, label, ok, elapsed):
 
 def run_suite_criterion(number, label, suite, budget=None, **opt):
     start = time.perf_counter()
-    reports = run_suite(suite, **opt)
+    reports = list(run_suite(suite, **opt))
     elapsed = time.perf_counter() - start
     bad = [r for r in reports if not r.ok]
     ok = not bad and (budget is None or elapsed <= budget)

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 import cyclebetti
 
+from cyclebetti import verify
 from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
                             ReducedAtom, ShortAtom, VarsAtom, _tokenize, build_ideal,
                             classify_family, emit_betti_table, evaluate, main,
@@ -16,7 +18,7 @@ from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
 from cyclebetti.families import (corner_power, cycle_path_ideal, mixed_power,
                                  short_path_ideal)
 from cyclebetti.monomials import Monomial, MonomialIdeal
-from cyclebetti.oracle import BettiTable, graded_betti
+from cyclebetti.oracle import BettiTable, LatticeCapError, graded_betti
 
 
 class TestParser:
@@ -369,6 +371,34 @@ class TestVerifyCommand:
         assert len(lines) == 2
         assert all(line["status"] == "match" for line in lines)
 
+    def test_oracle_lines_lead_with_the_old_keys(self, capsys):
+        # route_millis is added after millis; the keys before it keep their order
+        code, out, _ = run_cli(capsys, "verify", "long-path-oracle")
+        assert code == 0
+        for line in out.splitlines():
+            assert list(json.loads(line))[:3] == ["case", "status", "millis"], line
+
+    def test_cap_after_lines_keeps_them(self, capsys, monkeypatch):
+        def capped(cap, seed):
+            yield verify.Report("first case", "match")
+            raise LatticeCapError("lcm lattice exceeds cap")
+        monkeypatch.setitem(verify.SUITES, "delta-edge", capped)
+        code, out, err = run_cli(capsys, "verify", "delta-edge")
+        assert code == 3
+        assert [json.loads(line)["case"] for line in out.splitlines()] == ["first case"]
+        assert err == "error: lcm lattice exceeds cap\n"
+
+    def test_fault_inside_a_suite_is_no_usage_error(self, capsys, monkeypatch):
+        # a ValueError from a running suite is a program fault, not exit 2
+        def faulty(cap, seed):
+            yield verify.Report("first case", "match")
+            raise ValueError("negative Betti number")
+        monkeypatch.setitem(verify.SUITES, "delta-edge", faulty)
+        with pytest.raises(ValueError, match="negative Betti number"):
+            main(["verify", "delta-edge"])
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["case"] == "first case" and captured.err == ""
+
     def test_unknown_suite(self, capsys):
         # run_suite's message, on one line
         code, out, err = run_cli(capsys, "verify", "bogus")
@@ -416,6 +446,34 @@ class TestVerifyCommand:
         assert done.returncode == 2 and done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert message in done.stderr
+
+
+class TestStreaming:
+    def test_first_line_arrives_before_the_run_ends(self):
+        pinned = json.loads((SRC.parent / "bench" / "pins.json").read_text())["verify"]["all"]
+        # a block-buffered stdout, as a pipe gets by default: only the
+        # program's own flush can send the first line early
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        child = subprocess.Popen([sys.executable, "-m", "cyclebetti", "verify", "all"],
+                                 env=env, stdout=subprocess.PIPE)
+        try:
+            chunk = os.read(child.stdout.fileno(), 1 << 16)
+            arrived = time.perf_counter()
+            rest = child.stdout.read()
+            child.wait(timeout=120)
+            ended = time.perf_counter()
+        finally:
+            child.kill()
+            child.stdout.close()
+        assert json.loads(chunk.partition(b"\n")[0])["case"] == pinned[0]
+        # the line came on its own: a block-buffered stdout writes its first
+        # block only when nearly io.DEFAULT_BUFFER_SIZE bytes are pending
+        assert len(chunk) < io.DEFAULT_BUFFER_SIZE // 2
+        lines = (chunk + rest).decode().splitlines()
+        assert child.returncode == 0 and [json.loads(line)["case"] for line in lines] == pinned
+        assert ended - arrived >= 0.2
 
 
 class TestClosedPipe:

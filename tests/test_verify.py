@@ -27,6 +27,12 @@ class TestReport:
         payload = json.loads(Report("c", "match", None, 0).to_json())
         assert list(payload) == ["case", "status", "millis"]
 
+    def test_route_millis_follows_millis(self):
+        report = Report("c", "match", None, 3, {"closed": 0, "oracle(p=2)": 3})
+        payload = json.loads(report.to_json())
+        assert list(payload) == ["case", "status", "millis", "route_millis"]
+        assert payload["route_millis"] == {"closed": 0, "oracle(p=2)": 3}
+
     def test_ok_flag(self):
         assert Report("c", "match").ok
         assert Report("c", "skipped").ok
@@ -101,6 +107,28 @@ class TestCrossValidate:
                                  ["closed", "oracle"], chars=(32003,))
         assert any("audit" in r.case for r in reports)
 
+    def test_route_millis_per_expanded_route(self):
+        reports = list(cross_validate([FamilyCase("long-power", 3, 0, 2)],
+                                      ["closed", "recursion", "oracle"], chars=(2, 32003)))
+        assert [list(r.route_millis or {}) for r in reports] == [
+            ["closed", "recursion", "oracle(p=2)", "oracle(p=32003)"], [], []]
+        assert all(type(ms) is int and ms >= 0 for ms in reports[0].route_millis.values())
+
+    def test_yields_before_the_next_case(self, monkeypatch):
+        # the first case's reports arrive before the second case is computed
+        seen = []
+        real = verify.route_totals
+
+        def recorded(case, *args, **kwargs):
+            seen.append(case.n)
+            return real(case, *args, **kwargs)
+        monkeypatch.setattr(verify, "route_totals", recorded)
+        reports = cross_validate([FamilyCase("mixed", n, 0, 1) for n in (3, 4)],
+                                 ["closed", "recursion"])
+        assert seen == []
+        assert next(reports).case.startswith("mixed(n=3,")
+        assert seen == [3, 3]
+
 
 class TestSuites:
     def test_unknown_suite(self):
@@ -113,14 +141,23 @@ class TestSuites:
         assert all(r.ok for r in reports)
 
     def test_delta_edge_suite(self):
-        reports = run_suite("delta-edge")
+        reports = list(run_suite("delta-edge"))
         assert len(reports) == 2 and all(r.ok for r in reports)
 
     @pytest.mark.parametrize("name", ["long-path-oracle", "short-path-oracle",
                                       "three-route", "splittings", "delta-edge"])
     def test_oracle_suites_keep_lattice_cap(self, name):
         with pytest.raises(LatticeCapError):
-            run_suite(name, cap=1)
+            list(run_suite(name, cap=1))
+
+    def test_all_starts_each_suite_on_demand(self, monkeypatch):
+        def must_not_run(cap, seed):
+            raise AssertionError("a suite ran before its first report was asked for")
+        for name in verify.SUITES:
+            if name != "example-row":
+                monkeypatch.setitem(verify.SUITES, name, must_not_run)
+        first = next(iter(run_suite("all")))
+        assert first.case == "example row short-power(n=27,t=4)" and first.ok
 
     def test_unknown_option_refused(self):
         with pytest.raises(TypeError):
@@ -129,7 +166,7 @@ class TestSuites:
     def test_config_sweep(self):
         config = {"sweeps": [{"kind": "mixed", "n": [3, 4], "s": [0, 1],
                               "t": [1, 2], "routes": ["closed", "recursion"]}]}
-        reports = run_config(config)
+        reports = list(run_config(config))
         assert len(reports) == 8 and all(r.ok for r in reports)
 
     @pytest.mark.parametrize("kind", ["mixed", "corner"])
@@ -145,7 +182,7 @@ class TestSuites:
                 verify._check_config(config)
 
     def test_config_suites_key(self):
-        reports = run_config({"suites": ["example-row"]})
+        reports = list(run_config({"suites": ["example-row"]}))
         assert len(reports) == 1 and reports[0].ok
 
     @pytest.mark.parametrize("config, message", [
