@@ -98,8 +98,8 @@ class TestCrossValidate:
     def test_small_sweep_matches(self):
         cases = [FamilyCase("mixed", n, s, t)
                  for n in (3, 4) for s in (0, 1) for t in (1, 2)]
-        reports = cross_validate(cases, ["closed", "recursion", "oracle"],
-                                 chars=(2, 32003))
+        reports = list(cross_validate(cases, ["closed", "recursion", "oracle"],
+                                      chars=(2, 32003)))
         assert reports and all(r.ok for r in reports)
 
     def test_audit_reports_present(self):
