@@ -7,6 +7,8 @@ below silently vanish outside their natural ranges.
 from __future__ import annotations
 
 import math
+from functools import cache
+from operator import mul
 
 
 def binomial(a: int, b: int) -> int:
@@ -60,14 +62,63 @@ def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, in
     return plus, minus, const
 
 
+@cache
+def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
+    """The closed form of short_path_betti_parts summed, for every i at once.
+
+    Entry i is plus - minus + const at i; trailing zeros are stripped, so
+    every index past the tuple, and every negative one, reads 0.  The sums
+    are reindexed so that each term is two list reads:
+
+        plus_i  = sum over m in [ceil(i/2), min(i, reach)] of C(n, 2m-i) D(m),
+                  D(m) = C(n+s+t-1-m, n-1) - C(n+s-1-m, n-1)   (m = i - j);
+        minus_i = sum over j in [0, min((i-odd)//2, reach+k-n)] of
+                  C(n, i-odd-2j) E(j),
+                  E(j) = C(s+t+k-1-j, n-1) - C(s+k-1-j, n-1).
+
+    Past top = max(2 reach, min(n-2, s)) every term vanishes under the
+    binomial convention: plus needs i <= 2m <= 2 reach, minus needs
+    i <= n + odd + 2(reach+k-n), which is 2 reach again since n = 2k + odd,
+    and const needs i <= n-2 and i <= s.  Negative s, t are evaluated as
+    written, as in short_path_betti_parts.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    k, odd = n // 2, n % 2
+    reach = s + max(t, 0)
+    top = max(2 * reach, min(n - 2, s))
+    choose = [math.comb(n, r) for r in range(min(n, top) + 1)]
+    d = [binomial(n + s + t - 1 - m, n - 1) - binomial(n + s - 1 - m, n - 1)
+         for m in range(reach + 1)]
+    e = [binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1)
+         for j in range(reach + k - n + 1)]
+    values = [binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)  # const
+              for i in range(min(n - 2, s) + 1)]
+    values += [0] * (top + 1 - len(values))
+    for i in range(top + 1):
+        # C(n, r) needs r <= n: m <= (n+i)/2 in plus, j >= (i-odd-n)/2 in minus.
+        # Each map pairs a run of D or E with the C(n, r) that step r by 2 from
+        # its first term; map stops where the run ends.
+        lo, hi = (i + 1) // 2, min(i, reach, (n + i) // 2)
+        if lo <= hi:
+            values[i] += sum(map(mul, choose[2 * lo - i::2], d[lo:hi + 1]))
+        lo, hi = max(0, (i - odd - n + 1) // 2), min((i - odd) // 2, reach + k - n)
+        if lo <= hi:
+            values[i] -= sum(map(mul, choose[i - odd - 2 * lo::-2], e[lo:hi + 1]))
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
 def short_path_betti(n: int, s: int, t: int, i: int) -> int:
     """i-th total Betti number of reduced^s * full^t, as a closed form.
 
-    Returned as a signed integer on purpose: the value is a Betti number on
-    valid parameters, so a negative result signals a bug and must surface.
+    Entry i of short_path_seq, 0 outside it.  Returned as a signed integer on
+    purpose: the value is a Betti number on valid parameters, so a negative
+    result signals a bug and must surface.
     """
-    plus, minus, const = short_path_betti_parts(n, s, t, i)
-    return plus - minus + const
+    seq = short_path_seq(n, s, t)
+    return seq[i] if 0 <= i < len(seq) else 0
 
 
 def long_path_pd_reg(n: int, t: int) -> tuple[int, int]:

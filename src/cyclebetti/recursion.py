@@ -25,7 +25,8 @@ from collections import Counter
 from functools import cache
 
 from .families import corner_chain_pairs, mixed_chain_pairs
-from .formulas import reduced_power_betti, reduced_power_pd_reg, short_path_betti
+from .formulas import (reduced_power_betti, reduced_power_pd_reg, short_path_betti,
+                       short_path_seq)
 
 Seq = tuple[int, ...]
 
@@ -57,8 +58,10 @@ def _at(seq: Seq, i: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop all cached sequences (results must be unaffected)."""
-    for cached in (_long_path_seq, _chain_seq, _chain_step, _chain_terms):
+    """Drop every cache of the recursion and closed routes (results must be
+    unaffected)."""
+    for cached in (_long_path_seq, _chain_seq, _chain_step, _chain_terms,
+                   short_path_pd_rec, short_path_seq):
         cached.cache_clear()
 
 
@@ -221,12 +224,14 @@ def composed_support(s: int, t: int) -> Counter:
     return out
 
 
+@cache
 def short_path_pd_rec(n: int, s: int, t: int) -> int:
     """Projective dimension of reduced^s * full^t by the support recursion.
 
     Bases: the n = 2 family is the whole ring (pd 0); at n = 3 every power
     with t >= 1 has pd 2.  Above that, pd is the larger of min(n-3, s+t)
     and 2 + the worst pd among the composed-support families two sizes down.
+    Cached per (n, s, t), so each member expands its composed support once.
     """
     if n < 2 or s < 0 or t < 1:
         raise ValueError("need n >= 2, s >= 0, t >= 1")
@@ -258,8 +263,8 @@ def _route(route: str):
 def _lift(f, power: int):
     """Entry i of (1+z)^power times the sequence of f, one entry at a time.
 
-    Entry-wise because the closed route evaluates single entries: building
-    whole sequences would cost it i+1 terms per call instead of power+1.
+    Both routes answer an entry by a lookup into their cached sequence, so
+    an entry of the lift is power+1 lookups and no lifted sequence is built.
     """
     weights = (1,)
     for _ in range(power):

@@ -134,16 +134,16 @@ def _strip(seq) -> list[int]:
 
 
 # (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
-# The closed and series routes evaluate i = 0..n one entry at a time; that is
-# exhaustive, since the projective dimension is below the n variables.
+# The mixed closed route is the cached sequence of its closed form.  The
+# long-power closed and series routes evaluate i = 0..n one entry at a time;
+# that is exhaustive, since the projective dimension is below the n variables.
 _ROUTE_TOTALS = {
     ("long-power", "closed"):
         lambda n, s, t, strict: [formulas.long_path_betti(n, t, i) for i in range(n + 1)],
     ("long-power", "recursion"): lambda n, s, t, strict: recursion.long_path_seq(n, 0, t),
     ("long-power", "series"):
         lambda n, s, t, strict: [formulas.series_betti(n, t, i) for i in range(n + 1)],
-    ("mixed", "closed"):
-        lambda n, s, t, strict: [formulas.short_path_betti(n, s, t, i) for i in range(n + 1)],
+    ("mixed", "closed"): lambda n, s, t, strict: formulas.short_path_seq(n, s, t),
     ("mixed", "recursion"): lambda n, s, t, strict: recursion.mixed_seq(n, s, t, strict),
     ("corner", "recursion"): lambda n, s, t, strict: recursion.corner_seq(n, s, t, strict),
 }
@@ -154,8 +154,9 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     """Total Betti sequence (i = 0, 1, ...) of the case by the given route.
 
     Routes: "oracle", "closed", "recursion", "series".  Each is one call:
-    the oracle's table, the recursion's cached sequence, or the closed and
-    series forms over i = 0..n.  Trailing zeros are stripped.
+    the oracle's table, the recursion's or the mixed closed form's cached
+    sequence, or the long-power closed and series forms over i = 0..n.
+    Trailing zeros are stripped.
     """
     if route == "oracle":
         return _strip(oracle_table(case.ideal(), char, cap).totals())
@@ -596,20 +597,24 @@ def _check_config(config) -> None:
                     and all(type(b) is int for b in bounds)):
                 raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
                                  f"not {bounds!r}")
-        for p in _listed(sweep, "chars", int, where):
+        chars = _listed(sweep, "chars", int, where)
+        for p in chars:
             try:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"{where}: 'chars': {exc}") from None
+        _check_distinct(chars, "chars", where)
         for key, least in (("n", 2), ("s", 0), ("t", 1 if kind == "long-power" else 0)):
             lo, hi = sweep.get(key, _RANGE_DEFAULTS[key])
             if not least <= lo <= hi:
                 raise ValueError(f"{where}: {key!r} must be a range [lo, hi] with "
                                  f"{least} <= lo <= hi for {kind} families, "
                                  f"not {[lo, hi]!r}")
-        for route in _listed(sweep, "routes", str, where, _DEFAULT_ROUTES):
+        routes = _listed(sweep, "routes", str, where, _DEFAULT_ROUTES)
+        for route in routes:
             if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
                 raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
+        _check_distinct(routes, "routes", where)
         # long(n)^t has no s: a range would run each case once per s
         if kind == "long-power" and sweep.get("s", [0, 0]) != [0, 0]:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
@@ -628,6 +633,13 @@ def _check_keys(mapping: dict, known: tuple, where: str) -> None:
     unknown = [key for key in mapping if key not in known]
     if unknown:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
+
+
+def _check_distinct(items: list, key: str, where: str) -> None:
+    """A repeat would run its route or characteristic again under the same name."""
+    for index, item in enumerate(items):
+        if item in items[:index]:
+            raise ValueError(f"{where}: {key!r} lists {item!r} twice")
 
 
 def _listed(mapping: dict, key: str, item_type: type, where: str, default=()) -> list:

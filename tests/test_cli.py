@@ -435,8 +435,15 @@ class TestVerifyCommand:
         ({"sweeps": [{"kind": "long-power", "n": [3, 3], "s": [0, 2], "t": [1, 1],
                       "routes": ["closed", "recursion"]}]},
          "config sweep 1: 's' must be [0, 0] for long-power families"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "closed", "oracle"], "chars": [2]}]},
+         "config sweep 1: 'routes' lists 'closed' twice"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "oracle"], "chars": [2, 2]}]},
+         "config sweep 1: 'chars' lists 2 twice"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
-            "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s"])
+            "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
+            "repeated-route", "repeated-char"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

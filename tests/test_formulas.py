@@ -1,14 +1,17 @@
 import math
 import random
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclebetti.families import long_path_ideal, mixed_power
 from cyclebetti.formulas import (binomial, long_path_betti, long_path_pd_reg,
                                  reduced_power_betti, reduced_power_pd_reg,
                                  series_betti, short_path_betti,
-                                 short_path_betti_parts, short_path_pd_reg)
+                                 short_path_betti_parts, short_path_pd_reg,
+                                 short_path_seq)
 from cyclebetti.oracle import graded_betti
 
 
@@ -65,8 +68,10 @@ class TestReducedPowerBetti:
                 assert totals == want, (n, s)
 
 
-def literal_short_path_parts(n, s, t, i):
-    """The closed form's three pieces summed over every j, as first written."""
+def literal_short_path_parts(n, s, t, i, binomial=binomial):
+    """The closed form's three pieces summed over every j, as first written.
+
+    binomial may be swapped for a memoized copy where the sums get long."""
     k = n // 2
     plus = sum(
         binomial(n, i - 2 * j)
@@ -148,6 +153,64 @@ class TestShortPathClosedForm:
     def test_negative_parameters_vanish(self):
         assert short_path_betti(5, 1, 2, -1) == 0
         assert short_path_betti_parts(5, 1, 2, -3) == (0, 0, 0)
+
+
+def literal_short_path_betti(n, s, t, i, binomial=binomial):
+    plus, minus, const = literal_short_path_parts(n, s, t, i, binomial)
+    return plus - minus + const
+
+
+def seq_entry(seq, i):
+    return seq[i] if 0 <= i < len(seq) else 0
+
+
+class TestShortPathSeq:
+    """The whole-sequence kernel against the literal sums, entry by entry,
+    over negative parameters and past the last entry that can be nonzero."""
+
+    @pytest.mark.parametrize("n", range(2, 30))
+    def test_equals_literal_sums(self, n):
+        for s in range(-3, 9):
+            for t in range(-3, 9):
+                seq = short_path_seq(n, s, t)
+                for i in range(-3, 2 * (s + t) + n + 5):
+                    want = literal_short_path_betti(n, s, t, i)
+                    assert seq_entry(seq, i) == want, (n, s, t, i)
+                    assert short_path_betti(n, s, t, i) == want, (n, s, t, i)
+
+    def test_routes_grid_band(self):
+        binom = cache(binomial)
+        for n in range(400, 411):
+            seq = short_path_seq(n, 1, 1)
+            for i in range(-3, 2 * 2 + n + 5):
+                want = literal_short_path_betti(n, 1, 1, i, binom)
+                assert seq_entry(seq, i) == short_path_betti(n, 1, 1, i) == want, (n, i)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 29), s=st.integers(-3, 8), t=st.integers(-3, 8),
+           data=st.data())
+    def test_equals_literal_sums_sampled(self, n, s, t, data):
+        i = data.draw(st.integers(-3, max(-3, 2 * (s + t) + n + 4)), label="i")
+        want = literal_short_path_betti(n, s, t, i)
+        assert seq_entry(short_path_seq(n, s, t), i) == want
+        assert short_path_betti(n, s, t, i) == want
+
+    def test_stripped_past_last_nonzero(self):
+        for n in range(2, 30):
+            for s in range(-3, 9):
+                for t in range(-3, 9):
+                    seq = short_path_seq(n, s, t)
+                    assert isinstance(seq, tuple) and (not seq or seq[-1] != 0)
+                    for i in range(len(seq), len(seq) + 2 * (s + t) + n + 5):
+                        assert short_path_betti(n, s, t, i) == 0, (n, s, t, i)
+                    if s >= 0 and t >= 1:
+                        assert len(seq) == short_path_pd_reg(n, s, t)[0] + 1, (n, s, t)
+
+    def test_n_below_2_refused(self):
+        with pytest.raises(ValueError):
+            short_path_seq(1, 0, 1)
+        with pytest.raises(ValueError):
+            short_path_betti(1, 0, 1, 0)
 
 
 def displayed_power_betti(n, t, i):

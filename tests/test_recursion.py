@@ -12,7 +12,8 @@ from cyclebetti.families import (corner_chain_pairs, corner_power,
                                  mixed_chain_pairs, mixed_power,
                                  support_envelope)
 from cyclebetti.formulas import (long_path_betti, reduced_power_betti,
-                                 short_path_betti, short_path_pd_reg)
+                                 short_path_betti, short_path_pd_reg,
+                                 short_path_seq)
 from cyclebetti.oracle import graded_betti
 from cyclebetti.recursion import (clear_caches, composed_support, corner_rec,
                                   corner_seq, exchange_residual, long_path_rec,
@@ -235,6 +236,54 @@ class TestPdRecursion:
                     support_pd = max(i for i in range(n + 1)
                                      if short_path_betti(n, s, t, i) != 0)
                     assert support_pd == closed, (n, s, t)
+
+
+def pd_grid():
+    """The (n, s, t) members whose pd verify's support-facts suite compares."""
+    return [(n, total - t, t) for n in range(2, 13)
+            for total in range(1, 9) for t in range(1, total + 1)]
+
+
+class TestCacheHygiene:
+    def test_clear_caches_empties_closed_and_pd_memos(self):
+        short_path_betti(7, 2, 3, 1)
+        short_path_pd_rec(9, 2, 3)
+        assert short_path_seq.cache_info().currsize > 0
+        assert short_path_pd_rec.cache_info().currsize > 0
+        clear_caches()
+        assert short_path_seq.cache_info().currsize == 0
+        assert short_path_pd_rec.cache_info().currsize == 0
+
+    def test_cold_and_warm_values_agree(self):
+        def values():
+            return ([short_path_seq(n, s, t) for n, s, t in pd_grid()],
+                    [short_path_betti(n, s, t, i) for n, s, t in pd_grid()
+                     for i in range(-1, n + 1)],
+                    [short_path_pd_rec(n, s, t) for n, s, t in pd_grid()])
+        clear_caches()
+        cold = values()
+        assert values() == cold
+        clear_caches()
+        assert values() == cold
+
+    def test_pd_grid_expands_each_member_once(self, monkeypatch):
+        calls = []
+
+        def counted(s, t):
+            calls.append((s, t))
+            return composed_support(s, t)
+
+        clear_caches()
+        monkeypatch.setattr(recursion, "composed_support", counted)
+        try:
+            for n, s, t in pd_grid():
+                short_path_pd_rec(n, s, t)
+            info = short_path_pd_rec.cache_info()
+        finally:
+            clear_caches()
+        # one expansion per distinct member at n >= 4, none for the bases
+        assert info.currsize == info.misses
+        assert 0 < len(calls) <= info.misses
 
 
 class TestMainIdentity:

@@ -225,11 +225,18 @@ class TestSuites:
          "config sweep 1: corner(n=4,s=0,t=0) is the unit ideal"),
         ({"sweeps": [{"kind": "corner", "n": [4, 4], "t": [1, 1]}]},
          "config sweep 1: route 'closed' not applicable to corner families"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "closed", "oracle"]}]},
+         "config sweep 1: 'routes' lists 'closed' twice"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "oracle"], "chars": [2, 32003, 2]}]},
+         "config sweep 1: 'chars' lists 2 twice"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
             "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
-            "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes"])
+            "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
+            "repeated-route", "repeated-char"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
