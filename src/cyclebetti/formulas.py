@@ -41,9 +41,11 @@ def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, in
     s, t or i are evaluated as written: the sums are empty or vanish through
     the binomial convention.
 
-    Each j loop runs only over the terms that convention leaves nonzero: a
-    binomial(a, n-1) needs a >= n-1, so plus needs j >= i - s - max(t, 0)
-    and minus needs j <= s + max(t, 0) + k - n.
+    Each j loop runs only over the terms that convention leaves nonzero.
+    C(n, r) needs 0 <= r <= n, so j >= (i - n)/2 in plus and
+    j >= (i - odd - n)/2 in minus, which leaves each loop at most n/2 + 1
+    terms whatever i, s and t are.  A binomial(a, n-1) needs a >= n-1, so
+    plus needs j >= i - s - max(t, 0) and minus needs j <= s + max(t, 0) + k - n.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -52,23 +54,35 @@ def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, in
     plus = sum(
         binomial(n, i - 2 * j)
         * (binomial(n + s + t - 1 - i + j, n - 1) - binomial(n + s - 1 - i + j, n - 1))
-        for j in range(max(0, i - reach), i // 2 + 1))
+        for j in range(max(0, i - reach, (i - n + 1) // 2), i // 2 + 1))
     odd = n % 2
     minus = sum(
         binomial(n, i - odd - 2 * j)
         * (binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1))
-        for j in range(min((i - odd) // 2, reach + k - n) + 1))
+        for j in range(max(0, (i - odd - n + 1) // 2),
+                       min((i - odd) // 2, reach + k - n) + 1))
     const = binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)
     return plus, minus, const
 
 
+def _top(n: int, s: int, t: int) -> int:
+    """Past this i every term of the mixed closed form vanishes.
+
+    With reach = s + max(t, 0), k = n // 2 and odd = n % 2, the binomial
+    convention leaves a plus term only for i <= 2 reach, a minus term only
+    for i <= n + odd + 2(reach + k - n), which is 2 reach again since
+    n = 2k + odd, and const only for i <= min(n-2, s).
+    """
+    return max(2 * (s + max(t, 0)), min(n - 2, s))
+
+
 @cache
 def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
-    """The closed form of short_path_betti_parts summed, for every i at once.
+    """The closed form of short_path_betti_parts summed, for i = 0..n at once.
 
     Entry i is plus - minus + const at i; trailing zeros are stripped, so
-    every index past the tuple, and every negative one, reads 0.  The sums
-    are reindexed so that each term is two list reads:
+    every index in 0..n past the tuple reads 0.  The sums are reindexed so
+    that each term is two list reads:
 
         plus_i  = sum over m in [ceil(i/2), min(i, reach)] of C(n, 2m-i) D(m),
                   D(m) = C(n+s+t-1-m, n-1) - C(n+s-1-m, n-1)   (m = i - j);
@@ -76,35 +90,33 @@ def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
                   C(n, i-odd-2j) E(j),
                   E(j) = C(s+t+k-1-j, n-1) - C(s+k-1-j, n-1).
 
-    Past top = max(2 reach, min(n-2, s)) every term vanishes under the
-    binomial convention: plus needs i <= 2m <= 2 reach, minus needs
-    i <= n + odd + 2(reach+k-n), which is 2 reach again since n = 2k + odd,
-    and const needs i <= n-2 and i <= s.  Negative s, t are evaluated as
-    written, as in short_path_betti_parts.
+    The range stops at n, past the projective dimension of every valid
+    member, so the cost is O(n^2) per triple whatever s and t are; it stops
+    earlier at _top when every later term vanishes.  Negative s, t are
+    evaluated as written, as in short_path_betti_parts.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     k, odd = n // 2, n % 2
     reach = s + max(t, 0)
-    top = max(2 * reach, min(n - 2, s))
-    choose = [math.comb(n, r) for r in range(min(n, top) + 1)]
+    top = min(_top(n, s, t), n)
+    choose = [math.comb(n, r) for r in range(top + 1)]
     d = [binomial(n + s + t - 1 - m, n - 1) - binomial(n + s - 1 - m, n - 1)
-         for m in range(reach + 1)]
+         for m in range(min(reach, top) + 1)]
     e = [binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1)
-         for j in range(reach + k - n + 1)]
+         for j in range(min(reach + k - n, (top - odd) // 2) + 1)]
     values = [binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)  # const
               for i in range(min(n - 2, s) + 1)]
     values += [0] * (top + 1 - len(values))
     for i in range(top + 1):
-        # C(n, r) needs r <= n: m <= (n+i)/2 in plus, j >= (i-odd-n)/2 in minus.
-        # Each map pairs a run of D or E with the C(n, r) that step r by 2 from
-        # its first term; map stops where the run ends.
-        lo, hi = (i + 1) // 2, min(i, reach, (n + i) // 2)
-        if lo <= hi:
-            values[i] += sum(map(mul, choose[2 * lo - i::2], d[lo:hi + 1]))
-        lo, hi = max(0, (i - odd - n + 1) // 2), min((i - odd) // 2, reach + k - n)
-        if lo <= hi:
-            values[i] -= sum(map(mul, choose[i - odd - 2 * lo::-2], e[lo:hi + 1]))
+        # Each map pairs a run of D or E with the C(n, r) that step r by 2
+        # from its first term; every r stays in 0..i, so within choose.
+        hi = min(i, reach)
+        if (i + 1) // 2 <= hi:
+            values[i] += sum(map(mul, choose[i % 2::2], d[(i + 1) // 2:hi + 1]))
+        hi = min((i - odd) // 2, reach + k - n)
+        if hi >= 0:
+            values[i] -= sum(map(mul, choose[i - odd::-2], e[:hi + 1]))
     while values and values[-1] == 0:
         values.pop()
     return tuple(values)
@@ -113,12 +125,21 @@ def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
 def short_path_betti(n: int, s: int, t: int, i: int) -> int:
     """i-th total Betti number of reduced^s * full^t, as a closed form.
 
-    Entry i of short_path_seq, 0 outside it.  Returned as a signed integer on
-    purpose: the value is a Betti number on valid parameters, so a negative
-    result signals a bug and must surface.
+    Entry i of short_path_seq for i <= n, 0 for negative i or i past _top,
+    and the summed short_path_betti_parts in between, so every i gets the
+    closed form as written.  Returned as a signed integer on purpose: the
+    value is a Betti number on valid parameters, so a negative result
+    signals a bug and must surface.
     """
-    seq = short_path_seq(n, s, t)
-    return seq[i] if 0 <= i < len(seq) else 0
+    if i <= n:
+        seq = short_path_seq(n, s, t)
+        return seq[i] if 0 <= i < len(seq) else 0
+    if n < 2:
+        raise ValueError("need n >= 2")
+    if i > _top(n, s, t):
+        return 0
+    plus, minus, const = short_path_betti_parts(n, s, t, i)
+    return plus - minus + const
 
 
 def long_path_pd_reg(n: int, t: int) -> tuple[int, int]:

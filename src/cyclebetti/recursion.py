@@ -263,8 +263,9 @@ def _route(route: str):
 def _lift(f, power: int):
     """Entry i of (1+z)^power times the sequence of f, one entry at a time.
 
-    Both routes answer an entry by a lookup into their cached sequence, so
-    an entry of the lift is power+1 lookups and no lifted sequence is built.
+    Both routes answer an entry up to n by a lookup into their cached
+    sequence, and the closed route one past n by at most about n terms, so
+    an entry of the lift is power+1 calls and no lifted sequence is built.
     """
     weights = (1,)
     for _ in range(power):

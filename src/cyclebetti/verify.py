@@ -134,9 +134,10 @@ def _strip(seq) -> list[int]:
 
 
 # (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
-# The mixed closed route is the cached sequence of its closed form.  The
-# long-power closed and series routes evaluate i = 0..n one entry at a time;
-# that is exhaustive, since the projective dimension is below the n variables.
+# The closed and series routes stop at i = n, which is exhaustive, since the
+# projective dimension is below the n variables.  The mixed closed route is
+# the cached sequence of its closed form over i = 0..n; the long-power closed
+# and series routes evaluate i = 0..n one entry at a time.
 _ROUTE_TOTALS = {
     ("long-power", "closed"):
         lambda n, s, t, strict: [formulas.long_path_betti(n, t, i) for i in range(n + 1)],

@@ -17,6 +17,7 @@ from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
                             parse_ideal, resolve_ambient)
 from cyclebetti.families import (corner_power, cycle_path_ideal, mixed_power,
                                  short_path_ideal)
+from cyclebetti.formulas import short_path_betti_parts
 from cyclebetti.monomials import Monomial, MonomialIdeal
 from cyclebetti.oracle import BettiTable, LatticeCapError, graded_betti
 
@@ -134,6 +135,15 @@ class TestTableCommand:
         row = next(line for line in out.splitlines() if line.startswith("100:"))
         assert row.split()[1:] == ["27405", "98658", "136332", "89181",
                                    "27405", "3654", "378", "27", "1"]
+
+    def test_formula_huge_exponents(self, capsys):
+        # exponents at the parser's limit: the closed route reads i = 0..n only
+        e = 2**31
+        code, out, _ = run_cli(capsys, "table", f"J(5)^{e}*I(5)^{e}", "--route", "formula")
+        assert code == 0
+        parts = (short_path_betti_parts(5, e, e, i) for i in range(5))
+        want = [str(plus - minus + const) for plus, minus, const in parts]
+        assert out.splitlines()[1].split()[1:] == want
 
     def test_json_stable(self, capsys):
         code, out, _ = run_cli(capsys, "table", "m(x1,x2)", "--route", "oracle",

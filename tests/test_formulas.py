@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclebetti import formulas
 from cyclebetti.families import long_path_ideal, mixed_power
 from cyclebetti.formulas import (binomial, long_path_betti, long_path_pd_reg,
                                  reduced_power_betti, reduced_power_pd_reg,
@@ -166,16 +167,22 @@ def seq_entry(seq, i):
 
 class TestShortPathSeq:
     """The whole-sequence kernel against the literal sums, entry by entry,
-    over negative parameters and past the last entry that can be nonzero."""
+    over negative parameters and past n, where short_path_betti answers
+    from the per-entry sums."""
 
     @pytest.mark.parametrize("n", range(2, 30))
     def test_equals_literal_sums(self, n):
         for s in range(-3, 9):
             for t in range(-3, 9):
                 seq = short_path_seq(n, s, t)
+                assert isinstance(seq, tuple) and len(seq) <= n + 1, (n, s, t)
+                assert not seq or seq[-1] != 0, (n, s, t)
+                if s >= 0 and t >= 1:
+                    assert len(seq) == short_path_pd_reg(n, s, t)[0] + 1, (n, s, t)
                 for i in range(-3, 2 * (s + t) + n + 5):
                     want = literal_short_path_betti(n, s, t, i)
-                    assert seq_entry(seq, i) == want, (n, s, t, i)
+                    if i <= n:
+                        assert seq_entry(seq, i) == want, (n, s, t, i)
                     assert short_path_betti(n, s, t, i) == want, (n, s, t, i)
 
     def test_routes_grid_band(self):
@@ -184,27 +191,43 @@ class TestShortPathSeq:
             seq = short_path_seq(n, 1, 1)
             for i in range(-3, 2 * 2 + n + 5):
                 want = literal_short_path_betti(n, 1, 1, i, binom)
-                assert seq_entry(seq, i) == short_path_betti(n, 1, 1, i) == want, (n, i)
+                if i <= n:
+                    assert seq_entry(seq, i) == want, (n, i)
+                assert short_path_betti(n, 1, 1, i) == want, (n, i)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(2, 29), s=st.integers(-3, 8), t=st.integers(-3, 8),
+    @given(n=st.integers(2, 60), s=st.integers(-3, 10**6), t=st.integers(-3, 10**6),
            data=st.data())
-    def test_equals_literal_sums_sampled(self, n, s, t, data):
-        i = data.draw(st.integers(-3, max(-3, 2 * (s + t) + n + 4)), label="i")
+    def test_large_exponents_sampled(self, n, s, t, data):
+        # past the exhaustive grid: exponents up to 10**6 and n up to 60
+        i = data.draw(st.integers(-3, 3 * n), label="i")
         want = literal_short_path_betti(n, s, t, i)
-        assert seq_entry(short_path_seq(n, s, t), i) == want
+        if i <= n:
+            assert seq_entry(short_path_seq(n, s, t), i) == want
         assert short_path_betti(n, s, t, i) == want
 
-    def test_stripped_past_last_nonzero(self):
-        for n in range(2, 30):
-            for s in range(-3, 9):
-                for t in range(-3, 9):
-                    seq = short_path_seq(n, s, t)
-                    assert isinstance(seq, tuple) and (not seq or seq[-1] != 0)
-                    for i in range(len(seq), len(seq) + 2 * (s + t) + n + 5):
-                        assert short_path_betti(n, s, t, i) == 0, (n, s, t, i)
-                    if s >= 0 and t >= 1:
-                        assert len(seq) == short_path_pd_reg(n, s, t)[0] + 1, (n, s, t)
+    def test_work_does_not_grow_with_exponents(self, monkeypatch):
+        # the sequence stops at i = n: as many binomials at s = t = 200000
+        # as at s = t = 3, where a sequence running to 2(s + t) needs ~10**6
+        real, calls = formulas.binomial, []
+        monkeypatch.setattr(formulas, "binomial",
+                            lambda a, b: calls.append(1) or real(a, b))
+        counts = []
+        for s in (3, 200000):
+            short_path_seq.cache_clear()
+            calls.clear()
+            short_path_seq(5, s, s)
+            counts.append(len(calls))
+        short_path_seq.cache_clear()
+        assert counts[0] == counts[1] < 40
+
+    def test_huge_exponents_exact(self):
+        for n in (5, 6, 40):
+            seq = short_path_seq(n, 2**31, 2**31)
+            assert len(seq) == short_path_pd_reg(n, 2**31, 2**31)[0] + 1
+            for i in range(n + 3):
+                want = literal_short_path_betti(n, 2**31, 2**31, i)
+                assert seq_entry(seq, i) == short_path_betti(n, 2**31, 2**31, i) == want
 
     def test_n_below_2_refused(self):
         with pytest.raises(ValueError):
