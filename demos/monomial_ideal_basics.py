@@ -4,7 +4,8 @@
 Ideals always carry their canonical minimal generating set, so printing is
 deterministic and == is ideal equality.
 """
-from cyclebetti import Monomial, MonomialIdeal, variable
+from cyclebetti import Monomial, variable
+from cyclebetti.cli import build_ideal
 from cyclebetti.families import cycle_path_ideal, short_path_pair
 
 print("=" * 72)
@@ -14,12 +15,12 @@ print("=" * 72)
 m = Monomial((2, 0, 1))
 print(f"monomial {m}: degree {m.degree}, support {m.support}")
 
-I = MonomialIdeal.parse("(x1*x2, x2*x3, x1*x2*x3)")
-print(f"parse('(x1*x2, x2*x3, x1*x2*x3)') minimalizes to {I}")
+I = build_ideal("(x1*x2, x2*x3, x1*x2*x3)")
+print(f"build_ideal('(x1*x2, x2*x3, x1*x2*x3)') minimalizes to {I}")
 
 print()
 print("operators: * product, ** power, + sum, & intersection")
-J = MonomialIdeal.parse("(x1, x3)", 3)
+J = build_ideal("(x1, x3)")
 print(f"J = {J}")
 print(f"I * J   = {I * J}")
 print(f"J ** 2  = {J ** 2}")
@@ -42,8 +43,8 @@ print("=" * 72)
 print("For J inside K with xn outside the common support and I = J + xn*K:")
 print("  (xn K)^s J^t  &  (xn K)^(s+1) I^(t-1)  ==  xn (xn K)^s J^t")
 print()
-Jsmall = MonomialIdeal.parse("(x1)", 3)
-K = MonomialIdeal.parse("(x1, x2)", 3)
+Jsmall = build_ideal("(x1)").embed(3)
+K = build_ideal("(x1, x2)").embed(3)
 xn = variable(3, 3)
 I3 = Jsmall + xn * K
 for s in (0, 1):

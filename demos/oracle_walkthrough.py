@@ -6,12 +6,12 @@ they are reduced homology dimensions of the upper Koszul complex.  The
 oracle works for ANY monomial ideal, which is what makes it a trustworthy
 referee for the closed formulas and recursions.
 """
-from cyclebetti import Monomial, MonomialIdeal
-from cyclebetti.cli import emit_betti_table
+from cyclebetti import Monomial
+from cyclebetti.cli import build_ideal, emit_betti_table
 from cyclebetti.families import long_path_ideal, mixed_power
 from cyclebetti.oracle import graded_betti, homology_dims, lcm_lattice, upper_koszul
 
-triangle = MonomialIdeal.parse("(x1*x2, x2*x3, x1*x3)")
+triangle = build_ideal("(x1*x2, x2*x3, x1*x3)")
 print("=" * 72)
 print(f"STEP 1: the lcm lattice of {triangle}")
 print("=" * 72)

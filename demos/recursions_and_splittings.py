@@ -3,9 +3,8 @@
 by the oracle, the mutual recursion they induce, and the one place where
 the closed-form index multiset needs a correction.
 """
-from cyclebetti.families import (chain_piece, chain_tail, corner_chain_pairs,
+from cyclebetti.families import (chain_steps, chain_tail, corner_chain_pairs,
                                  corner_power, mixed_chain_pairs, mixed_power)
-from cyclebetti.monomials import variable
 from cyclebetti.oracle import graded_betti
 from cyclebetti.recursion import corner_rec, mixed_rec, short_path_pd_rec
 from cyclebetti.verify import check_splitting
@@ -24,11 +23,8 @@ print()
 print("=" * 72)
 print("EACH CHAIN STEP IS A BETTI SPLITTING (oracle-audited)")
 print("=" * 72)
-for j in range(s + t):
-    piece = chain_piece(n, s, t, j, "mixed")
-    rest = variable(n, n) * chain_tail(n, s, t, j + 1, "mixed")
-    report = check_splitting(chain_tail(n, s, t, j, "mixed"), piece, rest,
-                             label=f"chain step j={j}")
+for j, (tail, piece, rest) in enumerate(chain_steps(n, s, t, "mixed")):
+    report = check_splitting(tail, piece, rest, label=f"chain step j={j}")
     print(f"  {report.to_json()}")
 
 print()

@@ -4,8 +4,7 @@ Three mutually checking routes: closed formulas, chain recursions, and a
 brute-force simplicial-homology oracle for arbitrary monomial ideals.
 """
 
-from .monomials import (AmbientMismatchError, Monomial, MonomialIdeal,
-                        minimalize, one, parse_monomial, variable)
+from .monomials import AmbientMismatchError, Monomial, MonomialIdeal, one, variable
 from .families import (chain_piece, chain_tail, corner_chain_pairs, corner_ideal,
                        corner_power, cycle_path_ideal, graded_component,
                        long_path_ideal, mixed_chain_pairs, mixed_power,

@@ -12,13 +12,15 @@ Ideal expressions follow the grammar
   expr   := term (('+'|'&') term)*
   term   := factor ('*' factor)*
   factor := atom ('^' uint)?
-  atom   := Jc(n,m) | I(n) | J(n) | m(x1,...,xk) | '(' mono{,mono} ')' | '(' expr ')'
+  atom   := Jc(n,m) | I(n) | J(n) | m(x1,...,xk) | '(' [mono{,mono}] ')' | '(' expr ')'
 
 with precedence ^ > * > + = & (left-associative).  Jc(n,m) is the m-path
 ideal of the n-cycle, I(n)/J(n) the full/reduced short-path ideals, m(...)
 the ideal generated by the listed variables, and a parenthesized monomial
-list a literal generating set.  Exit codes: 0 success, 1 verification
-mismatch, 2 usage or parse error, 3 resource cap exceeded.
+list a literal generating set: ``()`` is the zero ideal, ``(1)`` the unit
+ideal, and build_ideal(str(I)).embed(I.ambient) == I for every ideal I.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
+3 resource cap exceeded.
 """
 from __future__ import annotations
 
@@ -185,6 +187,9 @@ class _Parser:
             self.error(f"unknown atom {tok!r} (expected Jc, I, J or m)")
         if kind == "(":
             self.take()
+            if self.peek()[0] == ")":
+                self.take()
+                return LiteralAtom(())
             if self.peek()[0] in ("var", "int"):
                 monos = [self.monomial()]
                 while self.peek()[0] == ",":

@@ -146,21 +146,32 @@ def chain_piece(n: int, s: int, t: int, d: int, family: str) -> MonomialIdeal:
     return comp
 
 
-def chain_tail(n: int, s: int, t: int, j: int, family: str) -> MonomialIdeal:
-    """Partial sum of the xn-graded decomposition from component j upward.
-
-    tail(s+t) is the top piece; tail(j) = piece(j) + xn * tail(j+1), and
-    tail(0) recovers the family itself.
+def chain_steps(n: int, s: int, t: int,
+                family: str) -> list[tuple[MonomialIdeal, MonomialIdeal, MonomialIdeal]]:
+    """The steps of the xn-graded decomposition, built once from the top
+    piece down: entry j is (tail(j), piece(j), xn * tail(j+1)) for
+    j = 0..s+t-1, where tail(s+t) is the top piece and
+    tail(j) = piece(j) + xn * tail(j+1).  Entry 0 holds the family itself.
     """
-    if not 0 <= j <= s + t:
-        raise ValueError(f"chain index j={j} outside 0..{s + t}")
-    if family not in ("mixed", "corner"):
-        raise ValueError(f"unknown family {family!r}")
     xn = variable(n, n)
     tail = chain_piece(n, s, t, s + t, family)
-    for d in range(s + t - 1, j - 1, -1):
-        tail = chain_piece(n, s, t, d, family) + xn * tail
-    return tail
+    steps = []
+    for j in reversed(range(s + t)):
+        piece = chain_piece(n, s, t, j, family)
+        rest = xn * tail
+        tail = piece + rest
+        steps.append((tail, piece, rest))
+    return steps[::-1]
+
+
+def chain_tail(n: int, s: int, t: int, j: int, family: str) -> MonomialIdeal:
+    """Partial sum of the xn-graded decomposition from component j upward:
+    the top piece at j = s+t, else the tail of chain_steps' entry j."""
+    if not 0 <= j <= s + t:
+        raise ValueError(f"chain index j={j} outside 0..{s + t}")
+    if j == s + t:
+        return chain_piece(n, s, t, j, family)
+    return chain_steps(n, s, t, family)[j][0]
 
 
 def mixed_chain_pairs(s: int, t: int) -> list[tuple[int, int]]:

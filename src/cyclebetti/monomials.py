@@ -1,10 +1,12 @@
 """Exact monomial and monomial-ideal arithmetic.
 
 Monomials are exponent vectors over a fixed ambient variable count n,
-printed as ``x1^2*x3`` (unit is ``1``).  Ideals always carry their canonical
-minimal generating set: no generator divides another, and generators are
-sorted by (total degree, exponent vector), so structural equality is ideal
-equality.
+printed as ``x1^2*x3`` (unit is ``1``); ideals print as ``(x1*x2, x3)``,
+the zero ideal as ``()``.  The expression grammar of `cyclebetti.cli`
+(`build_ideal`) reads these forms back; this module reads no text.  Ideals
+always carry their canonical minimal generating set: no generator divides
+another, and generators are sorted by (total degree, exponent vector), so
+structural equality is ideal equality.
 
 An ideal stores that set as one packed exponent matrix, a row per
 generator, with every exponent in as many bits as the ideal's largest
@@ -15,8 +17,7 @@ any candidate rows into the canonical set.
 """
 from __future__ import annotations
 
-import re
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -126,39 +127,6 @@ def variable(i: int, ambient: int) -> Monomial:
 
 def one(ambient: int) -> Monomial:
     return Monomial((0,) * ambient)
-
-
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-
-
-def monomial_exponents(text: str) -> dict[int, int]:
-    """Parse ``x1^2*x3`` into {1: 2, 3: 1}; ``1`` parses to {}."""
-    text = text.strip()
-    if text == "1":
-        return {}
-    powers: dict[int, int] = {}
-    for factor in text.split("*"):
-        m = _FACTOR_RE.match(factor.strip())
-        if not m:
-            raise ValueError(f"bad monomial factor {factor!r} in {text!r}")
-        idx, exp = int(m.group(1)), int(m.group(2) or 1)
-        if idx < 1:
-            raise ValueError(f"variable index must be >= 1 in {text!r}")
-        powers[idx] = powers.get(idx, 0) + exp
-    return powers
-
-
-def parse_monomial(text: str, ambient: int) -> Monomial:
-    powers = monomial_exponents(text)
-    if powers and max(powers) > ambient:
-        raise ValueError(f"monomial {text!r} does not fit in {ambient} variables")
-    return Monomial(powers.get(i + 1, 0) for i in range(ambient))
-
-
-def minimalize(gens: Sequence[Monomial]) -> tuple[Monomial, ...]:
-    """Drop duplicates and every monomial divisible by another; sort canonically."""
-    gens = tuple(gens)
-    return MonomialIdeal(gens).gens if gens else ()
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +267,6 @@ class MonomialIdeal:
     @classmethod
     def unit(cls, ambient: int) -> "MonomialIdeal":
         return cls((one(ambient),), ambient)
-
-    @classmethod
-    def parse(cls, text: str, ambient: int | None = None) -> "MonomialIdeal":
-        """Parse the text form ``(x1*x2, x2^2)``."""
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError("ideal text form must be parenthesized")
-        inner = text[1:-1].strip()
-        if not inner:
-            return cls.zero(ambient if ambient is not None else 1)
-        parts = [p.strip() for p in inner.split(",")]
-        if ambient is None:
-            ambient = max((max(monomial_exponents(p), default=0) for p in parts),
-                          default=1) or 1
-        return cls([parse_monomial(p, ambient) for p in parts], ambient)
 
     def matrix(self) -> np.ndarray:
         """The minimal generators as a read-only (len, ambient) unsigned

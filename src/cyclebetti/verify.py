@@ -373,20 +373,13 @@ def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
                 yield check_splitting(total, left, right, DEFAULT_PRIME, cap,
                                       label=f"long-power split n={n} s={s} t={t}")
 
-    # (b) every chain step of the mixed and corner decompositions, each tail
-    # built once from the top piece down: tail(j) = piece(j) + xn * tail(j+1)
+    # (b) every chain step of the mixed and corner decompositions
     for n in (4, 5):
         for s in range(0, 3):
             for t in range(0, 3):
                 for family in ("mixed", "corner"):
-                    steps = []
-                    tail = families.chain_piece(n, s, t, s + t, family)
-                    for j in reversed(range(s + t)):
-                        piece = families.chain_piece(n, s, t, j, family)
-                        rest = variable(n, n) * tail
-                        tail = piece + rest
-                        steps.append((j, tail, piece, rest))
-                    for j, total, piece, rest in reversed(steps):
+                    steps = families.chain_steps(n, s, t, family)
+                    for j, (total, piece, rest) in enumerate(steps):
                         yield check_splitting(
                             total, piece, rest, DEFAULT_PRIME, cap,
                             label=f"{family} chain split n={n} s={s} t={t} j={j}")
@@ -598,13 +591,13 @@ def _check_config(config) -> None:
                     and all(type(b) is int for b in bounds)):
                 raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
                                  f"not {bounds!r}")
-        chars = _listed(sweep, "chars", int, where)
+        chars = _listed(sweep, "chars", int, where, [DEFAULT_PRIME])
         for p in chars:
             try:
                 check_prime(p)
             except ValueError as exc:
                 raise ValueError(f"{where}: 'chars': {exc}") from None
-        _check_distinct(chars, "chars", where)
+        _check_members(chars, "chars", where)
         for key, least in (("n", 2), ("s", 0), ("t", 1 if kind == "long-power" else 0)):
             lo, hi = sweep.get(key, _RANGE_DEFAULTS[key])
             if not least <= lo <= hi:
@@ -615,7 +608,7 @@ def _check_config(config) -> None:
         for route in routes:
             if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
                 raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
-        _check_distinct(routes, "routes", where)
+        _check_members(routes, "routes", where)
         # long(n)^t has no s: a range would run each case once per s
         if kind == "long-power" and sweep.get("s", [0, 0]) != [0, 0]:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
@@ -636,8 +629,11 @@ def _check_keys(mapping: dict, known: tuple, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
 
 
-def _check_distinct(items: list, key: str, where: str) -> None:
-    """A repeat would run its route or characteristic again under the same name."""
+def _check_members(items: list, key: str, where: str) -> None:
+    """Empty routes leave nothing to compare and empty chars drop the oracle;
+    a repeat would run its route or characteristic again under one name."""
+    if not items:
+        raise ValueError(f"{where}: {key!r} must list at least one item")
     for index, item in enumerate(items):
         if item in items[:index]:
             raise ValueError(f"{where}: {key!r} lists {item!r} twice")

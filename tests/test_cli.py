@@ -31,6 +31,7 @@ class TestParser:
         assert parse_ideal("(x1*x2, x2^2)") == LiteralAtom(
             (((1, 1), (2, 1)), ((2, 2),)))
         assert parse_ideal("(1)") == LiteralAtom(((),))
+        assert parse_ideal("()") == LiteralAtom(())
 
     def test_power_binds_tightest(self):
         assert parse_ideal("Jc(5,3)^2") == Power(CycleAtom(5, 3), 2)
@@ -95,6 +96,11 @@ class TestAmbientAndEvaluation:
     def test_bad_path_range(self):
         with pytest.raises(ParseError):
             build_ideal("Jc(5,1)")
+
+    def test_empty_literal_is_zero_ideal(self):
+        assert build_ideal("()") == MonomialIdeal.zero(1)
+        assert build_ideal("() + (x1)") == build_ideal("(x1)")
+        assert build_ideal("(x1*x2) * ()").embed(3) == MonomialIdeal.zero(3)
 
 
 class TestClassify:
@@ -276,6 +282,9 @@ class TestBadInput:
         ("table", "(x1, x2, x0^5)"),
         ("split", "(1)", "(1)", "(1)"),
         ("split", "(1)", "m(x1)", "(1)"),
+        ("table", "()"),
+        ("pd", "()", "--route", "oracle"),
+        ("split", "()", "()", "()"),
     ])
     def test_usage_exit(self, argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -284,6 +293,17 @@ class TestBadInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "()"),
+        ("pd", "()", "--route", "oracle"),
+        ("split", "()", "()", "()"),
+        ("split", "(x1)", "()", "(x1)"),
+    ], ids=["table", "pd", "split", "split-zero-summand"])
+    def test_zero_ideal_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: the zero and unit ideals have no Betti table or pd\n"
 
 
 class TestSupportLimit:
@@ -451,9 +471,18 @@ class TestVerifyCommand:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
                       "routes": ["closed", "oracle"], "chars": [2, 2]}]},
          "config sweep 1: 'chars' lists 2 twice"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": []}]},
+         "config sweep 1: 'routes' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["oracle"], "chars": []}]},
+         "config sweep 1: 'chars' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "oracle"], "chars": []}]},
+         "config sweep 1: 'chars' must list at least one item"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
             "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
-            "repeated-route", "repeated-char"])
+            "repeated-route", "repeated-char", "no-routes", "no-chars",
+            "no-chars-closed-oracle"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -2,7 +2,8 @@ from collections import Counter
 
 import pytest
 
-from cyclebetti.families import (chain_piece, chain_tail, corner_chain_pairs,
+from cyclebetti import families
+from cyclebetti.families import (chain_piece, chain_steps, chain_tail, corner_chain_pairs,
                                  corner_ideal, corner_power, cycle_path_ideal,
                                  graded_component, long_path_ideal,
                                  mixed_chain_pairs, mixed_power, path_generator,
@@ -154,6 +155,34 @@ class TestChainTails:
     def test_chain_range(self):
         with pytest.raises(ValueError):
             chain_tail(4, 1, 1, 3, "mixed")
+
+    def test_steps_match_tails(self):
+        for n in (4, 5):
+            for s in range(3):
+                for t in range(3):
+                    xn = variable(n, n)
+                    for family, power in (("mixed", mixed_power), ("corner", corner_power)):
+                        steps = chain_steps(n, s, t, family)
+                        assert len(steps) == s + t
+                        for j, (tail, piece, rest) in enumerate(steps):
+                            assert tail == chain_tail(n, s, t, j, family)
+                            assert piece == chain_piece(n, s, t, j, family)
+                            assert rest == xn * chain_tail(n, s, t, j + 1, family)
+                            assert tail == piece + rest
+                        if steps:
+                            assert steps[0][0] == power(n, s, t), (family, n, s, t)
+
+    def test_steps_build_each_piece_once(self, monkeypatch):
+        built = []
+        piece = families.chain_piece
+
+        def counted(n, s, t, d, family):
+            built.append(d)
+            return piece(n, s, t, d, family)
+
+        monkeypatch.setattr(families, "chain_piece", counted)
+        chain_steps(5, 2, 2, "corner")
+        assert sorted(built) == [0, 1, 2, 3, 4]
 
     def test_intersection_identities(self):
         # piece(j) meet xn*tail(j+1) equals xn*piece(j), every step, desk scale

@@ -231,12 +231,24 @@ class TestSuites:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
                       "routes": ["closed", "oracle"], "chars": [2, 32003, 2]}]},
          "config sweep 1: 'chars' lists 2 twice"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": []}]},
+         "config sweep 1: 'routes' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["oracle"], "chars": []}]},
+         "config sweep 1: 'chars' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "oracle"], "chars": []}]},
+         "config sweep 1: 'chars' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "recursion"], "chars": []}]},
+         "config sweep 1: 'chars' must list at least one item"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
             "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
             "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
-            "repeated-route", "repeated-char"])
+            "repeated-route", "repeated-char", "no-routes", "no-chars",
+            "no-chars-closed-oracle", "no-chars-without-oracle"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
