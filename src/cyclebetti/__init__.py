@@ -5,7 +5,7 @@ brute-force simplicial-homology oracle for arbitrary monomial ideals.
 """
 
 from .monomials import AmbientMismatchError, Monomial, MonomialIdeal, one, variable
-from .families import (chain_piece, chain_tail, corner_chain_pairs, corner_ideal,
+from .families import (chain_pair, chain_piece, chain_tail, corner_chain_pairs, corner_ideal,
                        corner_power, cycle_path_ideal, graded_component,
                        long_path_ideal, mixed_chain_pairs, mixed_power,
                        path_generator, reduced_short_path_ideal,

@@ -10,9 +10,9 @@ Two path-ideal families recur throughout:
   coupling both recursions run on.
 
 The mixed family reduced^s * full^t and the corner family
-reduced^s * (x1,xn)^t decompose along the xn-grading; the graded components
-and their partial tail sums are constructed here, as are the index-pair
-sets that track which smaller families the chain steps contribute.
+reduced^s * (x1,xn)^t decompose along the xn-grading.  chain_pair names the
+smaller family behind each piece; the graded components, their partial tail
+sums and the index-pair sets the recursions run on are built from it.
 """
 from __future__ import annotations
 
@@ -106,6 +106,19 @@ def _check_st(n, s, t):
         raise ValueError("exponents must be nonnegative")
 
 
+def chain_pair(s: int, t: int, d: int, family: str) -> tuple[int, int]:
+    """(a, b) for piece d of the mixed or corner chain: the piece is
+    f1^max(s-d, 0) * x1^max(t-d, 0) (corner only) * reduced(n-1)^a * B^b, with
+    B = (f1, f2) (mixed) or (f1) + x1 * reduced(n-1) (corner), so its Betti
+    numbers are those of the other family's member (a, b) in ambient n-1.
+    The top piece, d = s + t, is a t = 0 member."""
+    if family == "mixed":
+        return d, min(t, s + t - d)
+    if family == "corner":
+        return max(d - t, 0), min(d, s, t, s + t - d)
+    raise ValueError(f"unknown family {family!r}")
+
+
 def graded_component(n: int, s: int, t: int, d: int, family: str) -> MonomialIdeal:
     """d-th xn-graded component of the mixed ("mixed") or corner ("corner") family.
 
@@ -117,24 +130,14 @@ def graded_component(n: int, s: int, t: int, d: int, family: str) -> MonomialIde
         raise ValueError("graded components need n >= 3")
     if not 0 <= d <= s + t:
         raise ValueError(f"component index d={d} outside 0..{s + t}")
+    a, b = chain_pair(s, t, d, family)
     f1 = path_generator(n, 1, n - 2)
     if family == "mixed":
-        head = MonomialIdeal([f1, path_generator(n, 2, n - 2)], n)
-        if d <= s:
-            return f1 ** (s - d) * head ** t
-        return head ** (s + t - d)
-    if family == "corner":
-        x1 = variable(1, n)
-        reduced_below = reduced_short_path_ideal(n - 1).embed(n)
-        scaled_full = MonomialIdeal([f1], n) + x1 * reduced_below
-        if d < min(s, t):
-            return (f1 ** (s - d) * x1 ** (t - d)) * scaled_full ** d
-        if s <= d < t:
-            return x1 ** (t - d) * scaled_full ** s
-        if t <= d < s:
-            return f1 ** (s - d) * (reduced_below ** (d - t) * scaled_full ** t)
-        return reduced_below ** (d - t) * scaled_full ** (s + t - d)
-    raise ValueError(f"unknown family {family!r}")
+        return f1 ** max(s - d, 0) * MonomialIdeal([f1, path_generator(n, 2, n - 2)], n) ** b
+    x1 = variable(1, n)
+    reduced_below = reduced_short_path_ideal(n - 1).embed(n)
+    scaled_full = MonomialIdeal([f1], n) + x1 * reduced_below
+    return (f1 ** max(s - d, 0) * x1 ** max(t - d, 0)) * (reduced_below ** a * scaled_full ** b)
 
 
 def chain_piece(n: int, s: int, t: int, d: int, family: str) -> MonomialIdeal:
@@ -175,16 +178,16 @@ def chain_tail(n: int, s: int, t: int, j: int, family: str) -> MonomialIdeal:
 
 
 def mixed_chain_pairs(s: int, t: int) -> list[tuple[int, int]]:
-    """Parameter pairs, one per mixed-chain step, of the corner families the
-    steps reduce to (ambient drops by one).  Needs t >= 1; length is s + t."""
+    """chain_pair of every mixed-chain step: the corner families the steps
+    reduce to (ambient drops by one).  Needs t >= 1; length is s + t."""
     if t < 1:
         raise ValueError("mixed chain pairs need t >= 1")
-    return [(j, t) for j in range(s + 1)] + [(s + j, t - j) for j in range(1, t)]
+    return [chain_pair(s, t, d, "mixed") for d in range(s + t)]
 
 
 def corner_chain_pairs(s: int, t: int, strict: bool = False) -> list[tuple[int, int]]:
-    """Parameter pairs, one per corner-chain step, of the mixed families the
-    steps reduce to.  Needs t >= 1.
+    """chain_pair of every corner-chain step: the mixed families the steps
+    reduce to.  Needs t >= 1.
 
     The default enumerates the chain steps directly (length s + t).  With
     strict=True the closed-form multiset is used instead; the two agree for
@@ -200,17 +203,7 @@ def corner_chain_pairs(s: int, t: int, strict: bool = False) -> list[tuple[int, 
         return ([(0, j) for j in range(t + 1)]
                 + [(j, t) for j in range(1, s - t + 1)]
                 + [(s - t + j, t - j) for j in range(1, t)])
-    pairs = []
-    for d in range(s + t):
-        if d < min(s, t):
-            pairs.append((0, d))
-        elif s <= d < t:
-            pairs.append((0, s))
-        elif t <= d < s:
-            pairs.append((d - t, t))
-        else:
-            pairs.append((d - t, s + t - d))
-    return pairs
+    return [chain_pair(s, t, d, "corner") for d in range(s + t)]
 
 
 def support_envelope(s: int, t: int) -> set[tuple[int, int]]:

@@ -18,6 +18,19 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
+def strip_zeros(values) -> tuple[int, ...]:
+    """A Betti sequence as a tuple with its trailing zeros removed."""
+    values = list(values)
+    while values and values[-1] == 0:
+        values.pop()
+    return tuple(values)
+
+
+def seq_entry(seq, i: int) -> int:
+    """Entry i of a stripped sequence: 0 for negative i or i past its end."""
+    return seq[i] if 0 <= i < len(seq) else 0
+
+
 def long_path_betti(n: int, t: int, i: int) -> int:
     """i-th total Betti number of the t-th power of the long-path ideal."""
     if n < 2 or t < 1:
@@ -117,9 +130,7 @@ def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
         hi = min((i - odd) // 2, reach + k - n)
         if hi >= 0:
             values[i] -= sum(map(mul, choose[i - odd::-2], e[:hi + 1]))
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
+    return strip_zeros(values)
 
 
 def short_path_betti(n: int, s: int, t: int, i: int) -> int:
@@ -132,8 +143,7 @@ def short_path_betti(n: int, s: int, t: int, i: int) -> int:
     signals a bug and must surface.
     """
     if i <= n:
-        seq = short_path_seq(n, s, t)
-        return seq[i] if 0 <= i < len(seq) else 0
+        return seq_entry(short_path_seq(n, s, t), i)
     if n < 2:
         raise ValueError("need n >= 2")
     if i > _top(n, s, t):

@@ -478,9 +478,9 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     onto themselves maps the complex at b onto the one at b[P], so
     beta_(i, b[P]) = beta_(i, b): the table is summed over one point per
     orbit of the `_symmetries` group, weighted by the orbit's size.  Many
-    points share a facet pattern, so homology is computed once per
-    (|supp b|, maximal facets) within this call, on the pattern's
-    strong-collapse core; a core that is a cone adds nothing.
+    points share a facet pattern, so homology is computed once per tuple of
+    maximal facets within this call, on the pattern's strong-collapse core;
+    a core that is a cone adds nothing.
     """
     check_prime(p)
     _check_nontrivial(ideal)
@@ -491,7 +491,7 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
         points, orbit_sizes = _orbits(points, group)
     else:
         orbit_sizes = np.ones(len(points), dtype=np.int64)
-    dims_by_pattern: dict[tuple, list[int]] = {}
+    dims_by_pattern: dict[tuple[int, ...], list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     step = max(1, _CHUNK // len(gens))
     for lo in range(0, len(points), step):
@@ -499,19 +499,17 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
         masks = _facet_masks(gens, chunk)
         counts = (masks >= 0).sum(axis=1).tolist()
         masks.sort(axis=1)
-        sizes = (chunk > 0).sum(axis=1).tolist()
         degrees = chunk.sum(axis=1, dtype=np.int64).tolist()
         weights = orbit_sizes[lo:lo + step].tolist()
-        for k, row, count, degree, weight in zip(sizes, masks, counts, degrees, weights):
-            # the facets of the generators dividing b, largest mask first
-            facets = dict.fromkeys(row[::-1][:count].tolist())
-            key = (k, _maximal(facets))
-            dims = dims_by_pattern.get(key)
+        for row, count, degree, weight in zip(masks, counts, degrees, weights):
+            # the maximal facets of the generators dividing b, largest mask first
+            facets = _maximal(dict.fromkeys(row[::-1][:count].tolist()))
+            dims = dims_by_pattern.get(facets)
             if dims is None:
-                core = _strong_core(key[1])
+                core = _strong_core(facets)
                 is_cone = len(core) == 1 and core[0]
                 dims = [] if is_cone else _mask_homology(_faces(core), p)
-                dims_by_pattern[key] = dims
+                dims_by_pattern[facets] = dims
             for i, h in enumerate(dims):
                 if h:
                     entries[(i, degree)] = entries.get((i, degree), 0) + h * weight

@@ -24,18 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import cache
 
-from .families import corner_chain_pairs, mixed_chain_pairs
-from .formulas import (reduced_power_betti, reduced_power_pd_reg, short_path_betti,
-                       short_path_seq)
+from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
+from .formulas import (reduced_power_betti, reduced_power_pd_reg, seq_entry,
+                       short_path_betti, short_path_seq, strip_zeros)
 
 Seq = tuple[int, ...]
-
-
-def _strip(values) -> Seq:
-    values = list(values)
-    while values and values[-1] == 0:
-        values.pop()
-    return tuple(values)
 
 
 def _add(*seqs: Seq) -> Seq:
@@ -43,7 +36,7 @@ def _add(*seqs: Seq) -> Seq:
     for seq in seqs:
         for i, value in enumerate(seq):
             out[i] += value
-    return _strip(out)
+    return strip_zeros(out)
 
 
 def _one_plus_z(seq: Seq) -> Seq:
@@ -51,10 +44,6 @@ def _one_plus_z(seq: Seq) -> Seq:
     if not seq:
         return ()
     return tuple(a + b for a, b in zip(seq + (0,), (0,) + seq))
-
-
-def _at(seq: Seq, i: int) -> int:
-    return seq[i] if 0 <= i < len(seq) else 0
 
 
 def clear_caches() -> None:
@@ -99,8 +88,8 @@ def _long_path_row(below: list[Seq], s: int, t: int) -> list[Seq]:
 @cache
 def _long_path_seq(n: int, s: int, t: int) -> Seq:
     if n == 2:
-        return _strip((t + 1, t))
-    row = [_strip((u + 1, u)) for u in range(s + t + 1)]  # L(2, 0, u)
+        return strip_zeros((t + 1, t))
+    row = [strip_zeros((u + 1, u)) for u in range(s + t + 1)]  # L(2, 0, u)
     for _ in range(3, n):
         row = _long_path_row(row, 0, s + t)
     return _long_path_row(row, s, t)[t]
@@ -111,7 +100,7 @@ def long_path_rec(n: int, s: int, t: int, i: int) -> int:
 
     Negative s, t or i give 0.
     """
-    return _at(long_path_seq(n, s, t), i)
+    return seq_entry(long_path_seq(n, s, t), i)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +110,7 @@ def long_path_rec(n: int, s: int, t: int, i: int) -> int:
 def _reduced_power_seq(n: int, s: int) -> Seq:
     """t = 0 leaf: the pd + 1 nonzero closed-form terms of reduced(n)^s."""
     pd = reduced_power_pd_reg(n, s)[0]
-    return _strip(reduced_power_betti(n, s, i) for i in range(pd + 1))
+    return strip_zeros(reduced_power_betti(n, s, i) for i in range(pd + 1))
 
 
 @cache
@@ -129,12 +118,13 @@ def _chain_terms(which: str, s: int, t: int, strict: bool):
     """Members one size down that a chain step at t >= 1 sums.
 
     Returns (head, pairs): the step's sequence is head + (1+z) * sum(pairs),
-    each member given as (family, s, t).
+    each member given as (family, s, t).  The head, the top piece's t = 0
+    member, is named "mixed" from both families so they share cache entries.
     """
+    head = ("mixed", *chain_pair(s, t, s + t, which))
     if which == "mixed":
-        return ("mixed", s + t, 0), tuple(("corner", a, b) for a, b in mixed_chain_pairs(s, t))
-    return ("mixed", s, 0), tuple(
-        ("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict))
+        return head, tuple(("corner", a, b) for a, b in mixed_chain_pairs(s, t))
+    return head, tuple(("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict))
 
 
 @cache
@@ -144,7 +134,7 @@ def _chain_step(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
     if s < 0 or t < 0:
         return ()
     if n == 2:
-        seq = (1,) if which == "mixed" else _strip((t + 1, t))  # corner: (x1,x2)^t
+        seq = (1,) if which == "mixed" else strip_zeros((t + 1, t))  # corner: (x1,x2)^t
     elif t == 0:
         seq = _reduced_power_seq(n, s)
     else:
@@ -202,12 +192,12 @@ def corner_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:
 
 def mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
     """Betti number beta_i of reduced^s * full^t; see mixed_seq."""
-    return _at(mixed_seq(n, s, t, strict_delta), i)
+    return seq_entry(mixed_seq(n, s, t, strict_delta), i)
 
 
 def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
     """Betti number beta_i of reduced^s * (x1,xn)^t; see corner_seq."""
-    return _at(corner_seq(n, s, t, strict_delta), i)
+    return seq_entry(corner_seq(n, s, t, strict_delta), i)
 
 
 def composed_support(s: int, t: int) -> Counter:

@@ -126,13 +126,6 @@ class FamilyCase:
         return self.t == 0 and (self.s == 0 or self.n == 2)
 
 
-def _strip(seq) -> list[int]:
-    seq = list(seq)
-    while seq and seq[-1] == 0:
-        seq.pop()
-    return seq
-
-
 # (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
 # The closed and series routes stop at i = n, which is exhaustive, since the
 # projective dimension is below the n variables.  The mixed closed route is
@@ -160,13 +153,15 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     Trailing zeros are stripped.
     """
     if route == "oracle":
-        return _strip(oracle_table(case.ideal(), char, cap).totals())
-    sequence = _ROUTE_TOTALS.get((case.kind, route))
-    if sequence is None:
-        if case.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {case.kind!r}")
-        raise ValueError(f"route {route!r} not applicable to {case.kind} families")
-    return _strip(sequence(case.n, case.s, case.t, strict_delta))
+        totals = oracle_table(case.ideal(), char, cap).totals()
+    else:
+        sequence = _ROUTE_TOTALS.get((case.kind, route))
+        if sequence is None:
+            if case.kind not in FAMILY_KINDS:
+                raise ValueError(f"unknown family kind {case.kind!r}")
+            raise ValueError(f"route {route!r} not applicable to {case.kind} families")
+        totals = sequence(case.n, case.s, case.t, strict_delta)
+    return list(formulas.strip_zeros(totals))
 
 
 def _compare_totals(pairs):
@@ -360,18 +355,23 @@ def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
 
 
 def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
-    # (a) splitting off the first generator of the long-path product
-    for n in (4, 5):
-        f1 = families.path_generator(n, 1, n - 1)
-        below = families.long_path_ideal(n - 1).embed(n)
-        here = families.long_path_ideal(n)
+    def first_generator_splits(name, f1, below, here):
+        """below^s * here^t = below^s * (f1^t) + xn * below^(s+1) * here^(t-1),
+        for s + t <= 3 with t >= 1, f1 the first generator of here."""
+        n = here.ambient
         for s in range(0, 4):
             for t in range(1, 4 - s):
                 total = below ** s * here ** t
                 left = below ** s * MonomialIdeal([f1 ** t], n)
                 right = variable(n, n) * (below ** (s + 1) * here ** (t - 1))
                 yield check_splitting(total, left, right, DEFAULT_PRIME, cap,
-                                      label=f"long-power split n={n} s={s} t={t}")
+                                      label=f"{name} split n={n} s={s} t={t}")
+
+    # (a) splitting off the first generator of the long-path product
+    for n in (4, 5):
+        yield from first_generator_splits("long-power", families.path_generator(n, 1, n - 1),
+                                          families.long_path_ideal(n - 1).embed(n),
+                                          families.long_path_ideal(n))
 
     # (b) every chain step of the mixed and corner decompositions
     for n in (4, 5):
@@ -389,17 +389,12 @@ def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
                                 None if (piece & rest) == variable(n, n) * piece
                                 else {"aspect": "intersection identity"}))
 
-    # (c) splitting off the first generator of the stacked reduced product
+    # (c) splitting off the first generator of the stacked reduced product,
+    # reduced(n-1)^s * reduced(n)^t (families.stacked_reduced_power)
     for n in (4, 5):
-        f1 = families.path_generator(n, 1, n - 2)
-        below = families.reduced_short_path_ideal(n - 1).embed(n)
-        for s in range(0, 4):
-            for t in range(1, 4 - s):
-                total = families.stacked_reduced_power(n, s, t)
-                left = below ** s * MonomialIdeal([f1 ** t], n)
-                right = variable(n, n) * families.stacked_reduced_power(n, s + 1, t - 1)
-                yield check_splitting(total, left, right, DEFAULT_PRIME, cap,
-                                      label=f"stacked split n={n} s={s} t={t}")
+        yield from first_generator_splits("stacked", families.path_generator(n, 1, n - 2),
+                                          families.reduced_short_path_ideal(n - 1).embed(n),
+                                          families.reduced_short_path_ideal(n))
 
 
 def suite_residuals(cap: int, seed: int) -> Iterator[Report]:
@@ -613,14 +608,19 @@ def _check_config(config) -> None:
         if kind == "long-power" and sweep.get("s", [0, 0]) != [0, 0]:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
                              f"not {sweep['s']!r}")
-    # then the members, once every sweep reads: the unit ideal has no lcm
-    # lattice, and a sweep's least member is unit if any member is
+    # then what each sweep would check, once every sweep reads: the unit
+    # ideal has no lcm lattice, and a sweep's least member is unit if any
+    # member is; the oracle alone is audited, any other route alone is not
     for number, sweep in enumerate(sweeps, 1):
         least = FamilyCase(sweep["kind"], *(sweep.get(key, _RANGE_DEFAULTS[key])[0]
                                             for key in ("n", "s", "t")))
         if least.is_unit():
             raise ValueError(f"config sweep {number}: {least.label()} "
                              f"is the unit ideal; raise the range's lower bounds")
+        routes = sweep.get("routes", _DEFAULT_ROUTES)
+        if len(routes) == 1 and routes[0] != "oracle":
+            raise ValueError(f"config sweep {number}: route {routes[0]!r} alone "
+                             f"compares nothing; list a second route or 'oracle'")
 
 
 def _check_keys(mapping: dict, known: tuple, where: str) -> None:

@@ -446,6 +446,15 @@ class TestVerifyCommand:
         assert code == 0
         assert len(out.splitlines()) == 2
 
+    def test_oracle_alone_is_audited(self, capsys, tmp_path):
+        config = tmp_path / "oracle.json"
+        config.write_text(json.dumps({"sweeps": [
+            {"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["oracle"]}]}))
+        code, out, _ = run_cli(capsys, "verify", str(config))
+        assert code == 0
+        assert [json.loads(line)["case"] for line in out.splitlines()] == [
+            "mixed(n=3,s=0,t=1) routes=oracle", "mixed(n=3,s=0,t=1) oracle(p=32003) audit"]
+
     @pytest.mark.parametrize("config, message", [
         ([{"kind": "mixed"}], "config must be a JSON object"),
         ({"sweeps": [{"kind": "mixed", "n": 5}]}, "'n' must be an integer range"),
@@ -479,10 +488,12 @@ class TestVerifyCommand:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
                       "routes": ["closed", "oracle"], "chars": []}]},
          "config sweep 1: 'chars' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
+         "config sweep 1: route 'closed' alone compares nothing"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
             "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
             "repeated-route", "repeated-char", "no-routes", "no-chars",
-            "no-chars-closed-oracle"])
+            "no-chars-closed-oracle", "lone-route"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

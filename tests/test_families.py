@@ -3,7 +3,8 @@ from collections import Counter
 import pytest
 
 from cyclebetti import families
-from cyclebetti.families import (chain_piece, chain_steps, chain_tail, corner_chain_pairs,
+from cyclebetti.families import (chain_pair, chain_piece, chain_steps, chain_tail,
+                                 corner_chain_pairs,
                                  corner_ideal, corner_power, cycle_path_ideal,
                                  graded_component, long_path_ideal,
                                  mixed_chain_pairs, mixed_power, path_generator,
@@ -267,3 +268,76 @@ def _common_factor(piece, model):
             return None
         deltas.add(tuple(x - y for x, y in zip(a.exponents, b.exponents)))
     return deltas.pop() if len(deltas) == 1 else None
+
+
+# The case analysis the index map replaced, kept as references: the component
+# ladders of each family and the four-case loop of the corner chain pairs.
+
+def ref_graded_component(n, s, t, d, family):
+    f1 = path_generator(n, 1, n - 2)
+    if family == "mixed":
+        head = MonomialIdeal([f1, path_generator(n, 2, n - 2)], n)
+        if d <= s:
+            return f1 ** (s - d) * head ** t
+        return head ** (s + t - d)
+    x1 = variable(1, n)
+    reduced_below = reduced_short_path_ideal(n - 1).embed(n)
+    scaled_full = MonomialIdeal([f1], n) + x1 * reduced_below
+    if d < min(s, t):
+        return (f1 ** (s - d) * x1 ** (t - d)) * scaled_full ** d
+    if s <= d < t:
+        return x1 ** (t - d) * scaled_full ** s
+    if t <= d < s:
+        return f1 ** (s - d) * (reduced_below ** (d - t) * scaled_full ** t)
+    return reduced_below ** (d - t) * scaled_full ** (s + t - d)
+
+
+def ref_mixed_chain_pairs(s, t):
+    return [(j, t) for j in range(s + 1)] + [(s + j, t - j) for j in range(1, t)]
+
+
+def ref_corner_chain_pairs(s, t):
+    pairs = []
+    for d in range(s + t):
+        if d < min(s, t):
+            pairs.append((0, d))
+        elif s <= d < t:
+            pairs.append((0, s))
+        elif t <= d < s:
+            pairs.append((d - t, t))
+        else:
+            pairs.append((d - t, s + t - d))
+    return pairs
+
+
+class TestChainPair:
+    def test_pairs_equal_the_case_analysis(self):
+        for s in range(15):
+            for t in range(1, 15):
+                assert mixed_chain_pairs(s, t) == ref_mixed_chain_pairs(s, t), (s, t)
+                assert corner_chain_pairs(s, t) == ref_corner_chain_pairs(s, t), (s, t)
+
+    def test_components_equal_the_ladders(self):
+        checked = 0
+        for n in range(3, 7):
+            for s in range(4):
+                for t in range(4):
+                    for d in range(s + t + 1):
+                        for family in ("mixed", "corner"):
+                            assert graded_component(n, s, t, d, family) == \
+                                ref_graded_component(n, s, t, d, family), (family, n, s, t, d)
+                        checked += 1
+        assert checked == 256
+
+    def test_top_piece_is_the_recursion_head(self):
+        # the t = 0 member each chain step adds once, outside the (1+z) sum
+        for s in range(8):
+            for t in range(8):
+                assert chain_pair(s, t, s + t, "mixed") == (s + t, 0)
+                assert chain_pair(s, t, s + t, "corner") == (s, 0)
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family"):
+            chain_pair(1, 1, 0, "long")
+        with pytest.raises(ValueError, match="unknown family"):
+            graded_component(4, 1, 1, 0, "long")

@@ -301,7 +301,7 @@ def count_calls(monkeypatch, name):
 
 
 def facet_patterns(I, points=None):
-    """Distinct (|supp b|, maximal faces as position masks) over the points
+    """Distinct sets of maximal faces, as position masks, over the points
     (by default the whole lattice), read off the upper Koszul complexes
     themselves."""
     patterns = set()
@@ -309,9 +309,9 @@ def facet_patterns(I, points=None):
         cx = upper_koszul(I, Monomial(b))
         position = {v: j for j, v in enumerate(cx.vertices)}
         faces = [set(f) for level in cx.faces.values() for f in level]
-        patterns.add((len(cx.vertices), frozenset(
+        patterns.add(frozenset(
             sum(1 << position[v] for v in f)
-            for f in faces if not any(f < other for other in faces))))
+            for f in faces if not any(f < other for other in faces)))
     return patterns
 
 
@@ -324,7 +324,7 @@ def orbit_points(I):
 
 def non_cone_patterns(patterns):
     """The patterns whose strong-collapse core is not a single nonempty facet."""
-    cores = [_strong_core(tuple(sorted(facets, reverse=True))) for _, facets in patterns]
+    cores = [_strong_core(tuple(sorted(facets, reverse=True))) for facets in patterns]
     return sum(1 for core in cores if not (len(core) == 1 and core[0]))
 
 

@@ -173,7 +173,7 @@ class TestSuites:
     def test_refuses_exactly_the_unit_members(self, kind):
         for n, s, t in product(range(2, 5), range(3), range(3)):
             config = {"sweeps": [{"kind": kind, "n": [n, n], "s": [s, s], "t": [t, t],
-                                  "routes": ["recursion"]}]}
+                                  "routes": ["recursion", "oracle"]}]}
             unit = FamilyCase(kind, n, s, t).ideal().is_unit()
             if unit:
                 with pytest.raises(ValueError, match="is the unit ideal"):
@@ -242,13 +242,16 @@ class TestSuites:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
                       "routes": ["closed", "recursion"], "chars": []}]},
          "config sweep 1: 'chars' must list at least one item"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["oracle"]},
+                     {"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
+         "config sweep 2: route 'closed' alone compares nothing"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
             "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
             "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
             "repeated-route", "repeated-char", "no-routes", "no-chars",
-            "no-chars-closed-oracle", "no-chars-without-oracle"])
+            "no-chars-closed-oracle", "no-chars-without-oracle", "lone-route"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
