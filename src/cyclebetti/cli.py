@@ -442,10 +442,14 @@ def _family_case(node, ambient: int, route: str) -> FamilyCase:
 def _cmd_table(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
-    if args.route == "oracle":
+    case = None if args.route == "oracle" else _family_case(node, ambient, args.route)
+    # only the mixed and corner recursions read the corner-chain multiset
+    if args.strict_delta and (args.route != "recursion" or case.kind == "long-power"):
+        raise ParseError("--strict-delta applies to --route recursion on mixed "
+                         "and corner expressions only")
+    if case is None:
         table = graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap)
     else:
-        case = _family_case(node, ambient, args.route)
         if case.kind == "corner" and args.route == "formula":
             raise ParseError(
                 "no closed formula for corner families; "

@@ -300,11 +300,6 @@ class MonomialIdeal:
         self._check(other)
         return bool(_divisible(self.matrix(), other.matrix()).all())
 
-    def min_degree(self) -> int:
-        if self.is_zero():
-            raise ValueError("zero ideal has no generator degree")
-        return int(self.matrix()[0].sum())
-
     def _check(self, other: "MonomialIdeal | Monomial"):
         if self.ambient != other.ambient:
             raise AmbientMismatchError(

@@ -21,6 +21,7 @@ values.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from functools import cache
 
@@ -257,9 +258,7 @@ def _lift(f, power: int):
     sequence, and the closed route one past n by at most about n terms, so
     an entry of the lift is power+1 calls and no lifted sequence is built.
     """
-    weights = (1,)
-    for _ in range(power):
-        weights = _one_plus_z(weights)
+    weights = [math.comb(power, k) for k in range(power + 1)]
 
     def lifted(n, s, t, i):
         return sum(w * f(n, s, t, i - k) for k, w in enumerate(weights))

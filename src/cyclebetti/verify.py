@@ -8,6 +8,7 @@ case finishes, that serialize to JSON lines, one per line, schema
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 import time
@@ -168,10 +169,8 @@ def _compare_totals(pairs):
     """pairs: list of (route_name, totals). Witness on first disagreement."""
     ref_name, ref = pairs[0]
     for name, totals in pairs[1:]:
-        width = max(len(ref), len(totals))
-        for i in range(width):
-            a = ref[i] if i < len(ref) else 0
-            b = totals[i] if i < len(totals) else 0
+        for i in range(max(len(ref), len(totals))):
+            a, b = formulas.seq_entry(ref, i), formulas.seq_entry(totals, i)
             if a != b:
                 return {"i": i, "routes": [ref_name, name],
                         "values": [str(a), str(b)]}
@@ -187,14 +186,10 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
     formulas (when the case has them).  Each comparison report carries the
     milliseconds of every expanded route in route_millis.
     """
+    expanded = [(route, p) for route in routes
+                for p in (chars if route == "oracle" else (DEFAULT_PRIME,))]
+    joined = "/".join(route for route, _ in expanded)
     for case in cases:
-        expanded = []
-        for route in routes:
-            if route == "oracle":
-                expanded.extend(("oracle", p) for p in chars)
-            else:
-                expanded.append((route, None))
-
         route_millis = {}
 
         def compute():
@@ -202,13 +197,11 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 start = time.perf_counter()
-                pairs.append((name, route_totals(
-                    case, route, char=p or DEFAULT_PRIME, cap=cap)))
+                pairs.append((name, route_totals(case, route, char=p, cap=cap)))
                 route_millis[name] = int((time.perf_counter() - start) * 1000)
             return _compare_totals(pairs)
 
-        report = _timed(f"{case.label()} routes={'/'.join(r for r, _ in expanded)}",
-                        compute)
+        report = _timed(f"{case.label()} routes={joined}", compute)
         report.route_millis = route_millis
         yield report
         for route, p in expanded:
@@ -237,14 +230,14 @@ def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
 # ---------------------------------------------------------------------------
 
 def check_splitting(total: MonomialIdeal, left: MonomialIdeal, right: MonomialIdeal,
-                    char: int = DEFAULT_PRIME, cap: int = DEFAULT_LATTICE_CAP,
-                    label: str | None = None) -> Report:
+                    char: int = DEFAULT_PRIME, cap: int = DEFAULT_LATTICE_CAP, *,
+                    label: str) -> Report:
     """Audit the splitting identity beta_i(total) = beta_i(left) + beta_i(right)
     + beta_{i-1}(left & right), plus the pd and reg max-formulas it implies.
+    The report's case is label followed by the characteristic.
     """
     if total != left + right:
         raise ValueError("not a decomposition: total != left + right")
-    case = label or f"split {total_label(total, left, right)}"
 
     def compute():
         tp = oracle_table(total, char, cap)
@@ -265,14 +258,7 @@ def check_splitting(total: MonomialIdeal, left: MonomialIdeal, right: MonomialId
                     [tp.reg(), max(tl.reg(), tr.reg(), tm.reg() - 1)]}
         return None
 
-    return _timed(f"{case} (p={char})", compute)
-
-
-def total_label(total, left, right) -> str:
-    def short(ideal):
-        text = str(ideal)
-        return text if len(text) <= 40 else f"<{len(ideal)} gens, deg {ideal.min_degree()}>"
-    return f"{short(total)} = {short(left)} + {short(right)}"
+    return _timed(f"{label} (p={char})", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +433,15 @@ def suite_delta_edge(cap: int, seed: int) -> Iterator[Report]:
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
 
-    def compute_default():
-        got = recursion.corner_rec(n, 0, t, 0)
-        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
-        return None if got == want == t + 1 else {"values": [str(got), str(want)]}
-
-    def compute_strict():
-        got = recursion.corner_rec(n, 0, t, 0, strict_delta=True)
-        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
+    def compute(strict):
         # the strict (closed-form) multiset must over-count by exactly one
-        return None if got == t + 2 and want == t + 1 else \
+        got = recursion.corner_rec(n, 0, t, 0, strict_delta=strict)
+        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
+        return None if want == t + 1 and got == want + strict else \
             {"values": [str(got), str(want)]}
 
-    yield _timed(f"delta edge default corner(n={n},t={t})", compute_default)
-    yield _timed(f"delta edge strict over-counts corner(n={n},t={t})", compute_strict)
+    yield _timed(f"delta edge default corner(n={n},t={t})", lambda: compute(False))
+    yield _timed(f"delta edge strict over-counts corner(n={n},t={t})", lambda: compute(True))
 
 
 def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
@@ -520,11 +501,7 @@ def run_suite(name: str, cap: int = DEFAULT_LATTICE_CAP,
     """The reports of one named suite, or of every suite in turn for name ==
     "all", as an iterator.  An unknown name raises ValueError at the call;
     each suite starts only when its first report is asked for."""
-    if name == "all":
-        return (report for fn in SUITES.values() for report in fn(cap, seed))
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
-    return SUITES[name](cap, seed)
+    return _run(_suite_names(name), (), cap, seed)
 
 
 def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
@@ -533,28 +510,32 @@ def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
 
     Each sweep gives a family kind, inclusive [lo, hi] ranges for its
     parameters, a route list, and optionally characteristics.  The whole
-    config is checked at the call, before anything runs: a malformed one,
-    or a range outside its family's domain, raises ValueError.  The reports
-    then come back as an iterator.
+    config is read at the call, before anything runs: a malformed one, or a
+    range outside its family's domain, raises ValueError.  The reports then
+    come back as an iterator over what was read, so a later edit of config
+    does not reach the run.
     """
-    _check_config(config)
+    return _run(*_read_config(config), cap, seed)
 
-    def reports():
-        for name in config.get("suites", []):
-            yield from run_suite(name, cap, seed)
-        for sweep in config.get("sweeps", []):
-            lo_n, hi_n = sweep.get("n", _RANGE_DEFAULTS["n"])
-            lo_s, hi_s = sweep.get("s", _RANGE_DEFAULTS["s"])
-            lo_t, hi_t = sweep.get("t", _RANGE_DEFAULTS["t"])
-            cases = [FamilyCase(sweep["kind"], n, s, t)
-                     for n in range(lo_n, hi_n + 1)
-                     for s in range(lo_s, hi_s + 1)
-                     for t in range(lo_t, hi_t + 1)]
-            yield from cross_validate(
-                cases, sweep.get("routes", _DEFAULT_ROUTES),
-                tuple(sweep.get("chars", [DEFAULT_PRIME])), cap)
 
-    return reports()
+def _run(names: tuple, sweeps: tuple, cap: int, seed: int) -> Iterator[Report]:
+    """The reports of the named suites, then of the sweeps (kind, (n, s, t)
+    ranges, routes, chars), each started when its first report is asked for."""
+    for name in names:
+        yield from SUITES[name](cap, seed)
+    for kind, ranges, routes, chars in sweeps:
+        cases = [FamilyCase(kind, n, s, t) for n, s, t in itertools.product(*ranges)]
+        yield from cross_validate(cases, routes, chars, cap)
+
+
+def _suite_names(name: str, where: str = "") -> tuple[str, ...]:
+    """The suites name stands for: every suite for "all", else name itself.
+    An unknown name raises ValueError, its message prefixed by where."""
+    if name == "all":
+        return tuple(SUITES)
+    if name not in SUITES:
+        raise ValueError(f"{where}unknown suite {name!r}; choices: {', '.join(SUITES)} or all")
+    return (name,)
 
 
 _SWEEP_KEYS = ("kind", "n", "s", "t", "routes", "chars")
@@ -563,29 +544,29 @@ _DEFAULT_ROUTES = ["closed", "oracle"]
 _ITEM_NOUNS = {str: "strings", dict: "objects", int: "integers"}
 
 
-def _check_config(config) -> None:
-    """Raise ValueError at the first part of config that run_config cannot read."""
+def _read_config(config) -> tuple[tuple[str, ...], tuple]:
+    """The plan run_config runs: the suite names, then each sweep as (kind,
+    (n, s, t) ranges, routes, chars), built from fresh values.  Raise
+    ValueError at the first part of config that cannot be read."""
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object with keys suites and/or sweeps")
     _check_keys(config, ("suites", "sweeps"), "config")
-    for name in _listed(config, "suites", str, "config"):
-        if name != "all" and name not in SUITES:
-            raise ValueError(f"config: unknown suite {name!r}; "
-                             f"choices: {', '.join(SUITES)} or all")
-    sweeps = _listed(config, "sweeps", dict, "config")
-    for number, sweep in enumerate(sweeps, 1):
+    names = tuple(suite for name in _listed(config, "suites", str, "config")
+                  for suite in _suite_names(name, "config: "))
+    sweeps = []
+    for number, sweep in enumerate(_listed(config, "sweeps", dict, "config"), 1):
         where = f"config sweep {number}"
         _check_keys(sweep, _SWEEP_KEYS, where)
         kind = sweep.get("kind")
         if kind not in FAMILY_KINDS:
             raise ValueError(f"{where}: 'kind' must be one of {', '.join(FAMILY_KINDS)}, "
                              f"not {kind!r}")
-        for key in ("n", "s", "t"):
-            bounds = sweep.get(key, _RANGE_DEFAULTS[key])
-            if not (isinstance(bounds, list) and len(bounds) == 2
-                    and all(type(b) is int for b in bounds)):
+        bounds = {key: sweep.get(key, default) for key, default in _RANGE_DEFAULTS.items()}
+        for key, value in bounds.items():
+            if not (isinstance(value, list) and len(value) == 2
+                    and all(type(b) is int for b in value)):
                 raise ValueError(f"{where}: {key!r} must be an integer range [lo, hi], "
-                                 f"not {bounds!r}")
+                                 f"not {value!r}")
         chars = _listed(sweep, "chars", int, where, [DEFAULT_PRIME])
         for p in chars:
             try:
@@ -594,7 +575,7 @@ def _check_config(config) -> None:
                 raise ValueError(f"{where}: 'chars': {exc}") from None
         _check_members(chars, "chars", where)
         for key, least in (("n", 2), ("s", 0), ("t", 1 if kind == "long-power" else 0)):
-            lo, hi = sweep.get(key, _RANGE_DEFAULTS[key])
+            lo, hi = bounds[key]
             if not least <= lo <= hi:
                 raise ValueError(f"{where}: {key!r} must be a range [lo, hi] with "
                                  f"{least} <= lo <= hi for {kind} families, "
@@ -605,22 +586,23 @@ def _check_config(config) -> None:
                 raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
         _check_members(routes, "routes", where)
         # long(n)^t has no s: a range would run each case once per s
-        if kind == "long-power" and sweep.get("s", [0, 0]) != [0, 0]:
+        if kind == "long-power" and bounds["s"] != [0, 0]:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "
-                             f"not {sweep['s']!r}")
+                             f"not {bounds['s']!r}")
+        ranges = tuple(range(lo, hi + 1) for lo, hi in bounds.values())
+        sweeps.append((kind, ranges, routes, chars))
     # then what each sweep would check, once every sweep reads: the unit
     # ideal has no lcm lattice, and a sweep's least member is unit if any
     # member is; the oracle alone is audited, any other route alone is not
-    for number, sweep in enumerate(sweeps, 1):
-        least = FamilyCase(sweep["kind"], *(sweep.get(key, _RANGE_DEFAULTS[key])[0]
-                                            for key in ("n", "s", "t")))
+    for number, (kind, ranges, routes, _) in enumerate(sweeps, 1):
+        least = FamilyCase(kind, *(values[0] for values in ranges))
         if least.is_unit():
             raise ValueError(f"config sweep {number}: {least.label()} "
                              f"is the unit ideal; raise the range's lower bounds")
-        routes = sweep.get("routes", _DEFAULT_ROUTES)
         if len(routes) == 1 and routes[0] != "oracle":
             raise ValueError(f"config sweep {number}: route {routes[0]!r} alone "
                              f"compares nothing; list a second route or 'oracle'")
+    return names, tuple(sweeps)
 
 
 def _check_keys(mapping: dict, known: tuple, where: str) -> None:
@@ -629,7 +611,7 @@ def _check_keys(mapping: dict, known: tuple, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
 
 
-def _check_members(items: list, key: str, where: str) -> None:
+def _check_members(items: tuple, key: str, where: str) -> None:
     """Empty routes leave nothing to compare and empty chars drop the oracle;
     a repeat would run its route or characteristic again under one name."""
     if not items:
@@ -639,11 +621,11 @@ def _check_members(items: list, key: str, where: str) -> None:
             raise ValueError(f"{where}: {key!r} lists {item!r} twice")
 
 
-def _listed(mapping: dict, key: str, item_type: type, where: str, default=()) -> list:
+def _listed(mapping: dict, key: str, item_type: type, where: str, default=()) -> tuple:
     """mapping[key] (or default), checked to be a list of item_type (so no bools
-    pass for integers)."""
+    pass for integers), as a tuple."""
     items = mapping.get(key, list(default))
     if not (isinstance(items, list) and all(type(item) is item_type for item in items)):
         raise ValueError(f"{where}: {key!r} must be a list of {_ITEM_NOUNS[item_type]}, "
                          f"not {items!r}")
-    return items
+    return tuple(items)

@@ -214,6 +214,27 @@ class TestTableCommand:
         assert chain.splitlines()[1] == "0,2,3"
         assert strict.splitlines()[1] == "0,2,4"
 
+    @pytest.mark.parametrize("expr, route, code, first_row", [
+        ("I(5)^2", "recursion", 0, "0,6,16"),
+        ("I(5)^2", "formula", 2, None),
+        ("I(5)^2", "oracle", 2, None),
+        ("m(x1,x4)^2", "oracle", 2, None),
+        ("Jc(5,4)^2", "recursion", 2, None),
+        ("Jc(5,4)^2", "formula", 2, None),
+    ], ids=["mixed-recursion", "mixed-formula", "mixed-oracle",
+            "corner-oracle", "long-power-recursion", "long-power-formula"])
+    def test_strict_delta_where_it_applies(self, capsys, expr, route, code, first_row):
+        # the flag changes the mixed and corner recursions alone; elsewhere
+        # it would be ignored, so it is refused
+        got, out, err = run_cli(capsys, "table", expr, "--route", route,
+                                "--format", "csv", "--strict-delta")
+        assert got == code, (expr, route)
+        if code == 0:
+            assert out.splitlines()[1] == first_row and err == ""
+        else:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: --strict-delta applies to --route recursion")
+
 
 class TestBadCharacteristic:
     @pytest.mark.parametrize("argv", [

@@ -42,23 +42,24 @@ class TestReport:
 class TestCheckSplitting:
     def test_two_variables_by_hand(self):
         # beta(P) = (2, 1); both parts principal; meet principal in degree 2
-        report = check_splitting(ideal((1, 0), (0, 1)), ideal((1, 0)), ideal((0, 1)))
+        report = check_splitting(ideal((1, 0), (0, 1)), ideal((1, 0)), ideal((0, 1)),
+                                 label="x1, x2")
         assert report.ok
 
     def test_rejects_non_decomposition(self):
         with pytest.raises(ValueError):
-            check_splitting(ideal((1, 0)), ideal((1, 0)), ideal((0, 1)))
+            check_splitting(ideal((1, 0)), ideal((1, 0)), ideal((0, 1)), label="x1")
 
     def test_detects_non_splitting(self):
         # (x1^2, x1x2, x2^2) split into (x1^2, x2^2) + (x1x2) fails at i = 1
         report = check_splitting(ideal((2, 0), (1, 1), (0, 2)),
-                                 ideal((2, 0), (0, 2)), ideal((1, 1)))
+                                 ideal((2, 0), (0, 2)), ideal((1, 1)), label="m^2")
         assert not report.ok
         assert report.witness == {"i": 1, "values": ["2", "3"]}
 
     def test_mismatch_reproducible(self):
         runs = [check_splitting(ideal((2, 0), (1, 1), (0, 2)),
-                                ideal((2, 0), (0, 2)), ideal((1, 1)))
+                                ideal((2, 0), (0, 2)), ideal((1, 1)), label="m^2")
                 for _ in range(2)]
         assert runs[0].case == runs[1].case
         assert runs[0].witness == runs[1].witness
@@ -177,9 +178,22 @@ class TestSuites:
             unit = FamilyCase(kind, n, s, t).ideal().is_unit()
             if unit:
                 with pytest.raises(ValueError, match="is the unit ideal"):
-                    verify._check_config(config)
+                    verify._read_config(config)
             else:
-                verify._check_config(config)
+                verify._read_config(config)
+
+    def test_config_edited_after_the_call_runs_as_read(self):
+        # the plan is read at the call: neither an in-place edit of a list
+        # nor a replaced range reaches the reports
+        routes = ["closed", "recursion"]
+        config = {"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 2],
+                              "routes": routes}]}
+        reports = run_config(config)
+        routes[:] = ["closed"]
+        config["sweeps"][0]["n"] = [4, 5]
+        assert [r.case for r in reports] == [
+            "mixed(n=3,s=0,t=1) routes=closed/recursion",
+            "mixed(n=3,s=0,t=2) routes=closed/recursion"]
 
     def test_config_suites_key(self):
         reports = list(run_config({"suites": ["example-row"]}))
