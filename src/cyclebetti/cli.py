@@ -323,54 +323,46 @@ def build_ideal(text: str) -> MonomialIdeal:
 # Family recognition for the formula/recursion routes
 # ---------------------------------------------------------------------------
 
-def _flatten_product(node, out: dict) -> bool:
-    if isinstance(node, BinOp):
-        if node.op != "*":
-            return False
-        return _flatten_product(node.left, out) and _flatten_product(node.right, out)
+def _powered_factors(node, exp: int = 1):
+    """(node, exponent) for each factor of a product of powers, the exponent
+    multiplied through every power enclosing it: (J(5)*I(5))^2 gives J(5)
+    and I(5), each to the power 2.  A sum, meet or atom is one factor."""
     if isinstance(node, Power):
-        if not isinstance(node.base, (CycleAtom, ShortAtom, ReducedAtom, VarsAtom)):
-            return False
-        out[node.base] = out.get(node.base, 0) + node.exp
-        return True
-    if isinstance(node, (CycleAtom, ShortAtom, ReducedAtom, VarsAtom)):
-        out[node] = out.get(node, 0) + 1
-        return True
-    return False
+        yield from _powered_factors(node.base, exp * node.exp)
+    elif isinstance(node, BinOp) and node.op == "*":
+        yield from _powered_factors(node.left, exp)
+        yield from _powered_factors(node.right, exp)
+    else:
+        yield node, exp
+
+
+def _family_factor(node, ambient: int) -> str | None:
+    """The family factor node is: long, full, reduced or corner, else None."""
+    if isinstance(node, CycleAtom):
+        return {node.n - 1: "long", node.n - 2: "full"}.get(node.m)
+    if isinstance(node, ShortAtom):
+        return "full"
+    if isinstance(node, ReducedAtom):
+        return "reduced"
+    if isinstance(node, VarsAtom) and tuple(sorted(set(node.indices))) == (1, ambient):
+        return "corner"
+    return None
 
 
 def classify_family(node, ambient: int) -> FamilyCase | None:
     """Recognize expressions the formula and recursion routes cover."""
-    powers: dict = {}
-    if not _flatten_product(node, powers):
-        return None
-    long_t = short_t = reduced_s = corner_t = 0
-    for atom, exp in powers.items():
-        if isinstance(atom, CycleAtom):
-            if atom.m == atom.n - 1:
-                long_t += exp
-            elif atom.m == atom.n - 2:
-                short_t += exp
-            else:
-                return None
-        elif isinstance(atom, ShortAtom):
-            short_t += exp
-        elif isinstance(atom, ReducedAtom):
-            reduced_s += exp
-        elif isinstance(atom, VarsAtom):
-            if tuple(sorted(set(atom.indices))) != (1, ambient):
-                return None
-            corner_t += exp
-        else:
+    powers = dict.fromkeys(("long", "full", "reduced", "corner"), 0)
+    for factor, exp in _powered_factors(node):
+        name = _family_factor(factor, ambient)
+        if name is None:
             return None
-    if long_t and not (short_t or reduced_s or corner_t):
-        return FamilyCase("long-power", ambient, 0, long_t)
+        powers[name] += exp
+    long_t, short_t, reduced_s, corner_t = powers.values()
     if long_t:
-        return None
+        return None if short_t or reduced_s or corner_t else \
+            FamilyCase("long-power", ambient, 0, long_t)
     if corner_t:
-        if short_t:
-            return None
-        return FamilyCase("corner", ambient, reduced_s, corner_t)
+        return None if short_t else FamilyCase("corner", ambient, reduced_s, corner_t)
     return FamilyCase("mixed", ambient, reduced_s, short_t)
 
 

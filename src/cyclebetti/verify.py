@@ -53,6 +53,25 @@ def _timed(case: str, check) -> Report:
     return Report(case, status, witness, millis)
 
 
+def _disagreement(points, routes: dict) -> dict | None:
+    """The witness {at, routes, values} at the first point where the routes
+    (name -> function of the point's arguments) differ, or None when they
+    agree at every point.  Each other route is compared with the first."""
+    first, *others = routes.values()
+    for point in points:
+        want = first(*point)
+        for route in others:
+            if route(*point) != want:
+                return {"at": list(point), "routes": list(routes),
+                        "values": [str(route(*point)) for route in routes.values()]}
+    return None
+
+
+def _agreement(case: str, points, routes: dict) -> Report:
+    """The timed report of _disagreement; points are drawn inside the timing."""
+    return _timed(case, lambda: _disagreement(points, routes))
+
+
 # ---------------------------------------------------------------------------
 # Oracle access with caching (ideals are immutable and hashable).  The cache
 # keys on the call form, so every caller passes all three arguments by position.
@@ -165,18 +184,6 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     return list(formulas.strip_zeros(totals))
 
 
-def _compare_totals(pairs):
-    """pairs: list of (route_name, totals). Witness on first disagreement."""
-    ref_name, ref = pairs[0]
-    for name, totals in pairs[1:]:
-        for i in range(max(len(ref), len(totals))):
-            a, b = formulas.seq_entry(ref, i), formulas.seq_entry(totals, i)
-            if a != b:
-                return {"i": i, "routes": [ref_name, name],
-                        "values": [str(a), str(b)]}
-    return None
-
-
 def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
                    cap=DEFAULT_LATTICE_CAP) -> Iterator[Report]:
     """Compare total Betti sequences across routes, case by case.
@@ -193,13 +200,15 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
         route_millis = {}
 
         def compute():
-            pairs = []
+            totals = {}
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 start = time.perf_counter()
-                pairs.append((name, route_totals(case, route, char=p, cap=cap)))
+                totals[name] = route_totals(case, route, char=p, cap=cap)
                 route_millis[name] = int((time.perf_counter() - start) * 1000)
-            return _compare_totals(pairs)
+            return _disagreement(((i,) for i in range(max(map(len, totals.values())))),
+                                 {name: functools.partial(formulas.seq_entry, seq)
+                                  for name, seq in totals.items()})
 
         report = _timed(f"{case.label()} routes={joined}", compute)
         report.route_millis = route_millis
@@ -308,34 +317,21 @@ def suite_short_path_oracle(cap: int, seed: int) -> Iterator[Report]:
 
 def suite_main_identity(cap: int, seed: int) -> Iterator[Report]:
     n_max, st_max = 12, 8
+    routes = {"recursion": recursion.mixed_rec, "closed": formulas.short_path_betti}
     for n in range(2, n_max + 1):
-        def compute(n=n):
-            for s in range(st_max + 1):
-                for t in range(st_max + 1):
-                    for i in range(2 * (s + t) + 3):
-                        a = recursion.mixed_rec(n, s, t, i)
-                        b = formulas.short_path_betti(n, s, t, i)
-                        if a != b:
-                            return {"s": s, "t": t, "i": i,
-                                    "values": [str(a), str(b)]}
-            return None
-        yield _timed(f"main identity recursion==closed n={n} s,t<={st_max}", compute)
+        points = ((n, s, t, i) for s in range(st_max + 1) for t in range(st_max + 1)
+                  for i in range(2 * (s + t) + 3))
+        yield _agreement(f"main identity recursion==closed n={n} s,t<={st_max}",
+                         points, routes)
 
 
 def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
     n_max, t_max = 10, 8
+    routes = {"recursion": lambda n, t, i: recursion.long_path_rec(n, 0, t, i),
+              "series": formulas.series_betti, "closed": formulas.long_path_betti}
     for n in range(2, n_max + 1):
-        def compute(n=n):
-            for t in range(1, t_max + 1):
-                for i in range(n + 2):
-                    rec = recursion.long_path_rec(n, 0, t, i)
-                    gf = formulas.series_betti(n, t, i)
-                    closed = formulas.long_path_betti(n, t, i)
-                    if not rec == gf == closed:
-                        return {"t": t, "i": i,
-                                "values": [str(rec), str(gf), str(closed)]}
-            return None
-        yield _timed(f"three-route long-power n={n} t<={t_max}", compute)
+        points = ((n, t, i) for t in range(1, t_max + 1) for i in range(n + 2))
+        yield _agreement(f"three-route long-power n={n} t<={t_max}", points, routes)
     for n, t in LONG_DESK_SET:
         yield _audit_oracle(FamilyCase("long-power", n, 0, t), DEFAULT_PRIME, cap)
 
@@ -387,13 +383,8 @@ def suite_residuals(cap: int, seed: int) -> Iterator[Report]:
     rng = random.Random(seed)
 
     def sweep(name, draw, evaluate):
-        def compute():
-            for _ in range(RESIDUAL_SAMPLES):
-                args = draw()
-                if evaluate(*args) != 0:
-                    return {"args": list(args)}
-            return None
-        return _timed(name, compute)
+        return _agreement(name, (draw() for _ in range(RESIDUAL_SAMPLES)),
+                          {"residual": evaluate, "zero": lambda *point: 0})
 
     yield sweep("shift residual, recursion route",
           lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)),
@@ -445,15 +436,6 @@ def suite_delta_edge(cap: int, seed: int) -> Iterator[Report]:
 
 
 def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
-    def marginal_multiplicity():
-        for total in range(2, 13):
-            for t in range(1, total + 1):
-                s = total - t
-                mult = recursion.composed_support(s, t)[(total - 2, 1)]
-                if mult != 1:
-                    return {"s": s, "t": t, "multiplicity": mult}
-        return None
-
     def containment():
         for s in range(9):
             for t in range(1, 9):
@@ -463,24 +445,23 @@ def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
                     return {"s": s, "t": t, "outside": sorted(stray)[:3]}
         return None
 
-    def pd_agreement():
-        for n in range(2, 13):
-            for total in range(1, 9):
-                for t in range(1, total + 1):
-                    s = total - t
-                    rec = recursion.short_path_pd_rec(n, s, t)
-                    closed = formulas.short_path_pd_reg(n, s, t)[0]
-                    support = max(
-                        (i for i in range(n + 1)
-                         if formulas.short_path_betti(n, s, t, i) != 0), default=0)
-                    if not rec == closed == support:
-                        return {"n": n, "s": s, "t": t,
-                                "values": [rec, closed, support]}
-        return None
+    def multiplicity(s, t):
+        return recursion.composed_support(s, t)[(s + t - 2, 1)]
 
-    yield _timed("composed support multiplicity at (s+t-2, 1)", marginal_multiplicity)
+    def support_pd(n, s, t):
+        return max((i for i in range(n + 1) if formulas.short_path_betti(n, s, t, i) != 0),
+                   default=0)
+
+    yield _agreement("composed support multiplicity at (s+t-2, 1)",
+                     ((total - t, t) for total in range(2, 13) for t in range(1, total + 1)),
+                     {"multiplicity": multiplicity, "one": lambda s, t: 1})
     yield _timed("composed support inside envelope", containment)
-    yield _timed("pd recursion == closed == support", pd_agreement)
+    yield _agreement("pd recursion == closed == support",
+                     ((n, total - t, t) for n in range(2, 13) for total in range(1, 9)
+                      for t in range(1, total + 1)),
+                     {"recursion": recursion.short_path_pd_rec,
+                      "closed": lambda n, s, t: formulas.short_path_pd_reg(n, s, t)[0],
+                      "support": support_pd})
 
 
 SUITES = {
@@ -553,6 +534,7 @@ def _read_config(config) -> tuple[tuple[str, ...], tuple]:
     _check_keys(config, ("suites", "sweeps"), "config")
     names = tuple(suite for name in _listed(config, "suites", str, "config")
                   for suite in _suite_names(name, "config: "))
+    _check_members(names, "suites", "config", empty_ok=True)
     sweeps = []
     for number, sweep in enumerate(_listed(config, "sweeps", dict, "config"), 1):
         where = f"config sweep {number}"
@@ -591,6 +573,8 @@ def _read_config(config) -> tuple[tuple[str, ...], tuple]:
                              f"not {bounds['s']!r}")
         ranges = tuple(range(lo, hi + 1) for lo, hi in bounds.values())
         sweeps.append((kind, ranges, routes, chars))
+    if not (names or sweeps):
+        raise ValueError("config lists no suite and no sweep, so it verifies nothing")
     # then what each sweep would check, once every sweep reads: the unit
     # ideal has no lcm lattice, and a sweep's least member is unit if any
     # member is; the oracle alone is audited, any other route alone is not
@@ -611,10 +595,10 @@ def _check_keys(mapping: dict, known: tuple, where: str) -> None:
         raise ValueError(f"{where}: unknown key {unknown[0]!r}; keys: {', '.join(known)}")
 
 
-def _check_members(items: tuple, key: str, where: str) -> None:
+def _check_members(items: tuple, key: str, where: str, empty_ok: bool = False) -> None:
     """Empty routes leave nothing to compare and empty chars drop the oracle;
-    a repeat would run its route or characteristic again under one name."""
-    if not items:
+    a repeat would run its suite, route or characteristic again under one name."""
+    if not (items or empty_ok):
         raise ValueError(f"{where}: {key!r} must list at least one item")
     for index, item in enumerate(items):
         if item in items[:index]:

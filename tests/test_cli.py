@@ -20,6 +20,7 @@ from cyclebetti.families import (corner_power, cycle_path_ideal, mixed_power,
 from cyclebetti.formulas import short_path_betti_parts
 from cyclebetti.monomials import Monomial, MonomialIdeal
 from cyclebetti.oracle import BettiTable, LatticeCapError, graded_betti
+from cyclebetti.verify import FamilyCase
 
 
 class TestParser:
@@ -119,6 +120,13 @@ class TestClassify:
         assert classify("I(4) + J(4)") is None
         assert classify("Jc(6,3)") is None
         assert classify("m(x1,x3)^2 * I(4)") is None
+        # exponents multiply through nested powers
+        assert classify("(J(5)*I(5))^2") == classify("J(5)^2*I(5)^2")
+        assert classify("(Jc(6,5)^2)^3") == FamilyCase("long-power", 6, 0, 6)
+        assert classify("(J(4)*m(x1,x4)^2)^3") == FamilyCase("corner", 4, 3, 6)
+        assert classify("((J(5)^2)^2*I(5))^0") == FamilyCase("mixed", 5, 0, 0)
+        assert classify("(I(4) + J(4))^2") is None
+        assert classify("(Jc(6,3)*I(6))^2") is None
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +182,19 @@ class TestTableCommand:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("nested, flat, route", [
+        ("(J(5)*I(5))^2", "J(5)^2*I(5)^2", "formula"),
+        ("(Jc(6,5)^2)^3", "Jc(6,5)^6", "recursion"),
+        ("(J(5)*m(x1,x5))^2", "J(5)^2*m(x1,x5)^2", "recursion"),
+    ])
+    def test_nested_powers_equal_the_flattened_expression(self, capsys, nested, flat, route):
+        outputs = []
+        for expr in (nested, flat):
+            code, out, _ = run_cli(capsys, "table", expr, "--route", route, "--format", "csv")
+            assert code == 0, expr
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
     def test_formula_refuses_general_expressions(self, capsys):
         code, _, err = run_cli(capsys, "table", "I(4) + J(4)", "--route", "formula")
@@ -511,10 +532,16 @@ class TestVerifyCommand:
          "config sweep 1: 'chars' must list at least one item"),
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
          "config sweep 1: route 'closed' alone compares nothing"),
+        ({"suites": ["delta-edge", "delta-edge"]}, "config: 'suites' lists 'delta-edge' twice"),
+        ({"suites": ["example-row", "all"]}, "config: 'suites' lists 'example-row' twice"),
+        ({}, "config lists no suite and no sweep, so it verifies nothing"),
+        ({"suites": []}, "config lists no suite and no sweep, so it verifies nothing"),
+        ({"sweeps": []}, "config lists no suite and no sweep, so it verifies nothing"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
             "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
             "repeated-route", "repeated-char", "no-routes", "no-chars",
-            "no-chars-closed-oracle", "lone-route"])
+            "no-chars-closed-oracle", "lone-route", "repeated-suite",
+            "suite-repeated-through-all", "empty-config", "no-suites", "no-sweeps"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -1,10 +1,11 @@
 import json
+import random
 import re
 from itertools import product
 
 import pytest
 
-from cyclebetti import verify
+from cyclebetti import formulas, recursion, verify
 from cyclebetti.monomials import Monomial, MonomialIdeal
 from cyclebetti.oracle import LatticeCapError
 from cyclebetti.verify import (FamilyCase, Report, check_splitting,
@@ -129,6 +130,58 @@ class TestCrossValidate:
         assert seen == []
         assert next(reports).case.startswith("mixed(n=3,")
         assert seen == [3, 3]
+
+
+class TestAgreement:
+    """Every point-by-point report stops at the first disagreement and names
+    it with one witness shape: {at, routes, values}."""
+
+    def test_main_identity_witness(self, monkeypatch):
+        real = formulas.short_path_betti
+
+        def one_too_high(n, s, t, i):
+            return real(n, s, t, i) + ((n, s, t, i) == (5, 1, 2, 3))
+        monkeypatch.setattr(formulas, "short_path_betti", one_too_high)
+        reports = {r.case: r for r in run_suite("main-identity")}
+        assert [r.case for r in reports.values() if not r.ok] == [
+            "main identity recursion==closed n=5 s,t<=8"]
+        assert reports["main identity recursion==closed n=5 s,t<=8"].witness == {
+            "at": [5, 1, 2, 3], "routes": ["recursion", "closed"], "values": ["25", "26"]}
+
+    def test_cross_validate_witness_names_every_route(self, monkeypatch):
+        closed = verify._ROUTE_TOTALS[("mixed", "closed")]
+
+        def one_too_high(n, s, t, strict):
+            totals = list(closed(n, s, t, strict))
+            totals[1] += 1
+            return totals
+        monkeypatch.setitem(verify._ROUTE_TOTALS, ("mixed", "closed"), one_too_high)
+        report = next(cross_validate([FamilyCase("mixed", 4, 0, 1)],
+                                     ["closed", "recursion", "oracle"], chars=(2, 32003)))
+        assert report.witness == {
+            "at": [1], "routes": ["closed", "recursion", "oracle(p=2)", "oracle(p=32003)"],
+            "values": ["5", "4", "4", "4"]}
+
+    def test_residual_witness_is_the_drawn_point(self, monkeypatch):
+        real = recursion.shift_residual
+        drawn = []
+
+        def off_at_the_third_draw(n, s, i, route="recursion"):
+            if route == "recursion":
+                drawn.append((n, s, i))
+                if len(drawn) >= 3 and (n, s, i) == drawn[2]:
+                    return 1
+            return real(n, s, i, route)
+        monkeypatch.setattr(recursion, "shift_residual", off_at_the_third_draw)
+        first = next(run_suite("residuals"))
+        assert first.case == "shift residual, recursion route"
+        assert first.witness == {"at": list(drawn[2]), "routes": ["residual", "zero"],
+                                 "values": ["1", "0"]}
+        # the seeded samples, drawn in order: the third is the one reported
+        rng = random.Random(verify.DEFAULT_SEED)
+        samples = [[rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)]
+                   for _ in range(3)]
+        assert first.witness["at"] == samples[2]
 
 
 class TestSuites:
@@ -259,13 +312,19 @@ class TestSuites:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["oracle"]},
                      {"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
          "config sweep 2: route 'closed' alone compares nothing"),
+        ({"suites": ["delta-edge", "delta-edge"]}, "config: 'suites' lists 'delta-edge' twice"),
+        ({"suites": ["example-row", "all"]}, "config: 'suites' lists 'example-row' twice"),
+        ({"suites": []}, "config lists no suite and no sweep, so it verifies nothing"),
+        ({"suites": [], "sweeps": []},
+         "config lists no suite and no sweep, so it verifies nothing"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
             "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
             "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
             "repeated-route", "repeated-char", "no-routes", "no-chars",
-            "no-chars-closed-oracle", "no-chars-without-oracle", "lone-route"])
+            "no-chars-closed-oracle", "no-chars-without-oracle", "lone-route",
+            "repeated-suite", "suite-repeated-through-all", "no-suites", "nothing-listed"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
