@@ -205,8 +205,9 @@ def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     return _koszul_complex(ideal.matrix(), b.exponents)
 
 
-def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) of the matrix with these sparse columns {row: entry}.
+def _rank_mod_p(columns: list[dict[int, int]], p: int) -> list[int]:
+    """Pivot rows of the matrix with these sparse columns {row: entry},
+    reduced over GF(p); their number is its rank.
 
     Column reduction in Python integers, so exact for every p: each column
     is reduced against the stored pivot columns, keyed by their largest
@@ -219,8 +220,11 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
             row = max(col)
             pivot = pivots.get(row)
             if pivot is None:
-                inv = pow(col[row], -1, p)
-                pivots[row] = {r: v * inv % p for r, v in col.items()}
+                # stored monic; over `_faces` levels an unreduced column leads with +1
+                if col[row] != 1:
+                    inv = pow(col[row], -1, p)
+                    col = {r: v * inv % p for r, v in col.items()}
+                pivots[row] = col
                 break
             factor = col[row]
             for r, v in pivot.items():
@@ -229,7 +233,7 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> int:
                     col[r] = value
                 else:
                     col.pop(r, None)
-    return len(pivots)
+    return list(pivots)
 
 
 def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
@@ -238,15 +242,27 @@ def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
     of reduced H_(s-1).
 
     The boundary of a face f drops each set bit, with sign (-1) to the
-    number of set bits below it, so faces stay bitmasks throughout.
+    number of set bits below it, so faces stay bitmasks throughout.  The
+    boundary maps are ranked from the largest faces down, with clearing
+    (Chen and Kerber, "Persistent homology computation with a twist", 2011;
+    Bauer, Kerber and Reininghaus, "Clear and compress", 2014): a face
+    that is a pivot row of the reduction one size up is not a column of
+    its own size's map.  A pivot row r is the largest row of a reduced
+    column R, a chain whose boundary is zero, so the boundary of face r is
+    a combination of the boundaries of faces before it; by induction every
+    skipped column lies in the span of the kept ones, and each rank is
+    unchanged over every field.
     """
     ranks = [0] * (len(levels) + 1)
-    for size in range(1, len(levels)):
+    cleared: set[int] = set()
+    for size in range(len(levels) - 1, 0, -1):
         index = {f: j for j, f in enumerate(levels[size - 1])}
-        if not index or not levels[size]:
+        if not index:
             continue
         columns = []
-        for face in levels[size]:
+        for j, face in enumerate(levels[size]):
+            if j in cleared:
+                continue
             column, rest, sign = {}, face, 1
             while rest:
                 bit = rest & -rest
@@ -254,7 +270,8 @@ def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
                 rest ^= bit
                 sign = -sign
             columns.append(column)
-        ranks[size] = _rank_mod_p(columns, p)
+        cleared = set(_rank_mod_p(columns, p))
+        ranks[size] = len(cleared)
     return [len(level) - ranks[s] - ranks[s + 1] for s, level in enumerate(levels)]
 
 

@@ -379,14 +379,12 @@ def mask_complex(facets, k):
     return SimplicialComplex(tuple(range(k)), faces)
 
 
-def tuple_homology(cx, p):
-    """Reference homology: dense boundary matrices over tuple faces, each
-    face dropping its vertices in increasing position with alternating signs."""
-    if cx.is_void():
-        return []
-    top = max(cx.faces)
+def boundary_ranks(cx, p):
+    """Reference ranks: entry d is the rank over GF(p) of the dense boundary
+    matrix from the faces of dimension d, each face dropping its vertices in
+    increasing position with alternating signs."""
     ranks = {}
-    for d in range(top + 1):
+    for d in range(max(cx.faces) + 1):
         upper, lower = cx.faces.get(d, []), cx.faces.get(d - 1, [])
         index = {f: j for j, f in enumerate(lower)}
         rows = [[0] * len(upper) for _ in lower]
@@ -394,8 +392,16 @@ def tuple_homology(cx, p):
             for k in range(len(face)):
                 rows[index[face[:k] + face[k + 1:]]][c] = (-1) ** k
         ranks[d] = dense_rank_mod_p(rows, p)
+    return ranks
+
+
+def tuple_homology(cx, p):
+    """Reference homology from the dense boundary ranks over tuple faces."""
+    if cx.is_void():
+        return []
+    ranks = boundary_ranks(cx, p)
     return [len(cx.faces.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
-            for d in range(-1, top + 1)]
+            for d in range(-1, max(cx.faces) + 1)]
 
 
 def core_homology(facets, p):
@@ -426,12 +432,104 @@ class TestStrongCore:
         assert len(core) == 1 and core[0].bit_count() == 1
 
 
+def facets_of(masks):
+    return oracle._maximal(sorted(set(masks), reverse=True))
+
+
+def cycle_complements(n):
+    """(n, facets): the complements of the n edges {i, i+1} of the n-cycle."""
+    full = (1 << n) - 1
+    return n, facets_of(full ^ (1 << i | 1 << (i + 1) % n) for i in range(n))
+
+
+def simplex_boundary(k):
+    """(k, facets): the boundary of the simplex on k vertices."""
+    full = (1 << k) - 1
+    return k, facets_of(full ^ 1 << v for v in range(k))
+
+
+def cross_polytope(k):
+    """(k, facets): the boundary of the cross-polytope on k vertices, whose
+    antipodal pairs are {2i, 2i + 1}; a facet picks one vertex of each."""
+    pairs = k // 2
+    return k, facets_of(sum(1 << 2 * i + (pick >> i & 1) for i in range(pairs))
+                        for pick in range(1 << pairs))
+
+
+def random_facet_sets(count, seed):
+    """(k, facets): 3 to 12 facets of 2 to 5 vertices each on k in {7, 8}
+    vertices, drawn by a seeded generator."""
+    rng = random.Random(seed)
+    drawn = []
+    for _ in range(count):
+        k = rng.choice((7, 8))
+        masks = [sum(1 << v for v in rng.sample(range(k), rng.randint(2, 5)))
+                 for _ in range(rng.randint(3, 12))]
+        drawn.append((k, facets_of(masks)))
+    return drawn
+
+
+def rank_calls(monkeypatch):
+    """Spy on oracle._rank_mod_p: (columns received, pivot rows returned) per call."""
+    calls = []
+    real = oracle._rank_mod_p
+
+    def spy(columns, p):
+        pivots = real(columns, p)
+        calls.append((len(columns), len(pivots)))
+        return pivots
+    monkeypatch.setattr(oracle, "_rank_mod_p", spy)
+    return calls
+
+
+RANDOM_COMPLEXES = random_facet_sets(30, seed=19)
+LARGE_COMPLEXES = ([cycle_complements(10)] + [cross_polytope(k) for k in (4, 6, 8)]
+                   + RANDOM_COMPLEXES)
+
+
+class TestClearing:
+    def test_cycle_complements(self):
+        k, facets = cycle_complements(10)
+        levels = _faces(facets)
+        assert sum(map(len, levels)) == 901
+        assert set(_strong_core(facets)) == set(facets)
+        assert _mask_homology(levels, 2) == [0] * 6 + [1, 0, 0]
+
+    @pytest.mark.parametrize("p", [2, 32003])
+    @pytest.mark.parametrize("complex_", [cycle_complements(10)]
+                             + [simplex_boundary(k) for k in range(4, 8)])
+    def test_reduction_skips_the_cleared_columns(self, complex_, p, monkeypatch):
+        k, facets = complex_
+        levels = _faces(facets)
+        # ranks[d]: the boundary from the faces of d + 1 vertices
+        ranks = boundary_ranks(mask_complex(facets, k), p)
+        calls = rank_calls(monkeypatch)
+        _mask_homology(levels, p)
+        # the size-s reduction, s from the top down, gets every face of size
+        # s but the rank(level s + 1) pivot rows one size up, and returns
+        # rank(level s) pivot rows
+        assert calls == [(len(levels[s]) - ranks.get(s, 0), ranks[s - 1])
+                         for s in range(len(levels) - 1, 0, -1)]
+        assert sum(ranks.values()) > 0
+
+    @pytest.mark.parametrize("p", [2, 3, 32003, 2**31 - 1])
+    def test_kernel_matches_dense_reference(self, p):
+        for k, facets in LARGE_COMPLEXES:
+            expected = tuple_homology(mask_complex(facets, k), p)
+            assert _mask_homology(_faces(facets), p) == expected
+
+    def test_random_complexes_have_homology_in_several_degrees(self):
+        degrees = {i for k, facets in RANDOM_COMPLEXES
+                   for i, h in enumerate(_mask_homology(_faces(facets), 2)) if h}
+        assert len(degrees) >= 3
+
+
 @st.composite
 def facet_sets(draw):
     """Maximal facet bitmasks over k <= 6 vertices, largest mask first."""
     k = draw(st.integers(0, 6))
     masks = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=8))
-    return k, oracle._maximal(sorted(set(masks), reverse=True))
+    return k, facets_of(masks)
 
 
 def relabelled(I, perm):
@@ -517,6 +615,27 @@ class TestSymmetry:
         I, perm = member
         J = relabelled(I, perm)
         assert graded_betti(J) == unreduced_betti(J, DEFAULT_PRIME) == graded_betti(I)
+
+
+# graded tables with more than one row, (i, j, value) as in
+# bench/pins.json["oracle"]; they hold the largest cores the oracle ranks
+NON_LINEAR_TABLES = {
+    "Jc(10,2)": [(0, 2, 10), (1, 3, 10), (1, 4, 25), (2, 5, 50), (2, 6, 10), (3, 6, 25),
+                 (3, 7, 30), (4, 8, 30), (5, 9, 10), (6, 10, 1)],
+    "Jc(9,2)": [(0, 2, 9), (1, 3, 9), (1, 4, 18), (2, 5, 36), (2, 6, 3), (3, 6, 18),
+                (3, 7, 9), (4, 8, 9), (5, 9, 2)],
+    "Jc(7,2)^2": [(0, 4, 28), (1, 5, 49), (1, 6, 21), (2, 6, 21), (2, 7, 50), (3, 8, 35),
+                  (4, 9, 7)],
+}
+
+
+class TestPinnedTables:
+    @pytest.mark.parametrize("p", [2, 32003, 2**31 - 1, 2**61 - 1])
+    @pytest.mark.parametrize("expr", sorted(NON_LINEAR_TABLES))
+    def test_non_linear_table(self, expr, p):
+        table = graded_betti(build_ideal(expr), p)
+        assert table.sorted_entries() == NON_LINEAR_TABLES[expr]
+        assert not table.is_single_row()
 
 
 class TestBettiTable:
@@ -688,7 +807,10 @@ class TestProperties:
                                   min_size=nrows, max_size=nrows))
         columns = [{r: rows[r][c] for r in range(nrows) if rows[r][c]}
                    for c in range(ncols)]
-        assert _rank_mod_p(columns, p) == dense_rank_mod_p(rows, p)
+        pivots = _rank_mod_p(columns, p)
+        assert len(pivots) == dense_rank_mod_p(rows, p)
+        assert len(set(pivots)) == len(pivots)
+        assert set(pivots) <= set(range(nrows))
 
     @settings(max_examples=40, deadline=None)
     @given(small_ideals(), st.randoms(use_true_random=False))
