@@ -2,9 +2,11 @@
 
 The multigraded Betti number at a multidegree b equals the dimension of a
 reduced homology group of the upper Koszul complex at b, and nonzero values
-only occur at joins of generator multidegrees.  So: enumerate the lcm
-lattice, build each upper Koszul complex, take ranks of boundary matrices
-over a prime field, and accumulate into a graded table.
+only occur at joins of generator multidegrees.  So: find the dihedral
+symmetries of the generators, enumerate the lcm lattice by joining one
+point per orbit, build the upper Koszul complex at each orbit's point, take
+ranks of boundary matrices over a prime field, and accumulate into a graded
+table, each point weighted by its orbit's size.
 """
 from __future__ import annotations
 
@@ -77,24 +79,49 @@ def _check_cap(size: int, cap: int) -> None:
         raise LatticeCapError(f"lcm lattice reached {size} elements, past its cap of {cap}")
 
 
-def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
-    """Every join of a nonempty set of rows of `matrix`, sorted lexicographically.
+def _check_growth(parts: list[np.ndarray], size: int, cap: int) -> None:
+    """Raise LatticeCapError when a lattice of `size` rows plus the rows in
+    `parts`, each part distinct and new to the lattice, is past `cap`.
 
-    Rows live as packed words.  With w the bit length of the largest
-    exponent, each field is w + 1 bits, the top one a guard kept clear, so
-    64 // (w + 1) fields fill a uint64 from the top: column 0 is the highest
-    field of word 0.  A frontier batch is joined with every generator by a
-    field-wise SWAR maximum (Lamport, CACM 1975; Warren, Hacker's Delight,
-    ch. 2): subtracting b from a with the guards set leaves a field's guard
-    set exactly where a >= b, and no borrow crosses a field.  The join runs
-    in place in two buffers of at most `_CHUNK` candidate rows.  Each row is
-    one scalar, a uint64 or a void of its words.  The rows a frontier adds
-    are merged into the sorted lattice once, when the frontier is done, and
-    become the next frontier.  The cap is checked after every batch, on the
-    lattice so far plus the frontier's new rows.  Rows are unpacked and
-    lexsorted at the end.
+    Parts may share rows, so past the cap they are merged into parts[0]
+    and counted exactly."""
+    if size + sum(map(len, parts)) > cap:
+        parts[:] = [_sorted_distinct(np.concatenate(parts))]
+        _check_cap(size + len(parts[0]), cap)
+
+
+def _lattice_orbits(gens: np.ndarray, group: np.ndarray,
+                    cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lcm lattice of the rows of `gens`, sorted lexicographically; the
+    lex-least point of each orbit of `group` on it, in lattice order; and
+    each orbit's size.
+
+    `group` holds column permutations mapping the rows of `gens` onto
+    themselves, the identity among them.  Rows live as packed words.  With
+    w the bit length of the largest exponent, each field is w + 1 bits, the
+    top one a guard kept clear, so 64 // (w + 1) fields fill a uint64 from
+    the top: column 0 is the highest field of word 0, and the words of a
+    row compare as integers in the row's lex order.  Each row is one key, a
+    uint64 or a void of its words.
+
+    Only orbit representatives are joined (McKay, "Isomorph-free exhaustive
+    generation", 1998): a permutation s maps the join of r and g to the join
+    of s(r) and s(g), and permutes the generators, so the joins of the
+    representatives with every generator reach every orbit.  A frontier
+    batch is joined with every generator by a field-wise SWAR maximum
+    (Lamport, CACM 1975; Warren, Hacker's Delight, ch. 2): subtracting b
+    from a with the guards set leaves a field's guard set exactly where
+    a >= b, and no borrow crosses a field.  The join runs in place in two
+    buffers of at most `_CHUNK` candidate rows; each batch is deduped and
+    looked up in the sorted lattice.  The lattice so far is a union of
+    orbits, so the orbit of a row new to it is new as a whole: the
+    frontier's new rows are unpacked, permuted by the group, repacked and
+    merged into the lattice in slices of at most `_CHUNK` entries, and
+    their distinct lex-least images are the next frontier.  The cap is
+    checked on the lattice so far after every batch and every slice.  Rows
+    are lexsorted by their words and unpacked at the end, and each orbit
+    has |group| / |stabilizer| points.
     """
-    gens = np.ascontiguousarray(matrix)
     count, ambient = gens.shape
     width = max(int(gens.max(initial=0)).bit_length(), 1)
     per_word = 64 // (width + 1)
@@ -103,18 +130,65 @@ def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
     # numpy 1.x and 2.x promote uint64 with a Python int differently: every
     # constant below is a np.uint64
     guards = np.uint64(sum(1 << int(s) + width for s in shifts))
-    padded = np.zeros((count, words * per_word), dtype=np.uint64)
-    padded[:, :ambient] = gens
-    packed = (padded.reshape(count, words, per_word) << shifts).sum(axis=2, dtype=np.uint64)
+    low = np.uint64((1 << width) - 1)
     key = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
-    lattice = _sorted_distinct(packed.copy().view(key).ravel())
-    _check_cap(len(lattice), cap)
-    frontier = packed
+
+    # rows pack as a product with `places`, which holds 1 << shift in the
+    # word of each column; fields are disjoint, so the sums are exact.  The
+    # image of a row under P has column P[j] in place j, so the rows of
+    # `moves` put each column in its place under every permutation at once.
+    index = np.arange(ambient)
+    places = np.zeros((ambient, words), dtype=np.uint64)
+    places[index, index // per_word] = np.uint64(1) << shifts[index % per_word]
+    moves = np.zeros((ambient, len(group), words), dtype=np.uint64)
+    moves[group, np.arange(len(group))[:, None]] = places
+    moves = moves.reshape(ambient, -1)
+
+    def unpack(packed: np.ndarray) -> np.ndarray:
+        fields = (packed.reshape(-1, words, 1) >> shifts) & low
+        return fields.reshape(len(fields), -1)[:, :ambient]
+
+    def images(rows: np.ndarray) -> np.ndarray:
+        """(rows, permutations, words): each packed row's image under each
+        permutation of the group."""
+        return (unpack(rows) @ moves).reshape(len(rows), len(group), words)
+
+    def least(found: np.ndarray) -> np.ndarray:
+        """Each row's lex-least image, from its `images`: the least first
+        word, then among the images sharing it the least second word, and
+        so on."""
+        column = found[:, :, 0]
+        rep = column.min(axis=1, keepdims=True)
+        for w in range(1, words):
+            # `guards` is past every packed word, so it masks the images
+            # whose earlier words are not the least
+            column = np.where(column == rep[:, -1:], found[:, :, w], guards)
+            rep = np.hstack([rep, column.min(axis=1, keepdims=True)])
+        return rep
+
+    packed = gens.astype(np.uint64) @ places
     step = max(1, _CHUNK // count)
+    # rows per slice: each unpacks to words * per_word fields and has
+    # len(group) images of `words` words
+    spread = max(1, _CHUNK // (words * max(len(group), per_word)))
     picks = np.empty((step, count, words), dtype=np.uint64)
     joins = np.empty_like(picks)
-    while len(frontier):
-        fresh, size = [], len(lattice)
+    lattice = np.empty(0, dtype=key)
+    # the generators are a union of orbits, so they come first as new rows
+    new, frontiers = packed, []
+    while len(new):
+        orbits, reps = [], []
+        for lo in range(0, len(new), spread):
+            found = images(new[lo:lo + spread])
+            reps.append(least(found))
+            # sorts `found` in place
+            orbits.append(_sorted_distinct(found.reshape(-1, words).view(key).ravel()))
+            _check_growth(orbits, len(lattice), cap)
+        lattice = _sorted_distinct(np.concatenate([lattice] + orbits))
+        frontier = _sorted_distinct(np.concatenate(reps).view(key).ravel())
+        frontiers.append(frontier)
+        frontier = frontier.view(np.uint64).reshape(-1, words)
+        fresh = []
         for lo in range(0, len(frontier), step):
             a = frontier[lo:lo + step, None, :]
             pick, join = picks[:len(a)], joins[:len(a)]
@@ -127,28 +201,33 @@ def _lattice_rows(matrix: np.ndarray, cap: int) -> np.ndarray:
             batch = _sorted_distinct(join.reshape(-1, words).view(key).ravel())
             at = np.searchsorted(lattice, batch).clip(max=len(lattice) - 1)
             fresh.append(batch[lattice[at] != batch])
-            size += len(fresh[-1])
-            if size > cap:
-                # batches of one frontier may share rows: count them exactly
-                fresh = [_sorted_distinct(np.concatenate(fresh))]
-                size = len(lattice) + len(fresh[0])
-                _check_cap(size, cap)
-        new = _sorted_distinct(np.concatenate(fresh))
-        lattice = np.insert(lattice, np.searchsorted(lattice, new), new)
-        frontier = new.view(np.uint64).reshape(-1, words)
-    fields = (lattice.view(np.uint64).reshape(-1, words, 1) >> shifts) & np.uint64((1 << width) - 1)
-    rows = fields.reshape(len(lattice), -1)[:, :ambient].astype(gens.dtype)
-    return rows[np.lexsort(rows.T[::-1])]
+            _check_growth(fresh, len(lattice), cap)
+        # batches of one frontier may share rows
+        new = fresh[0] if len(fresh) == 1 else _sorted_distinct(np.concatenate(fresh))
+        new = new.view(np.uint64).reshape(-1, words)
+    # a row's words, first to last, compare in its lex order
+    rows = lattice.view(np.uint64).reshape(-1, words)
+    reps = np.concatenate(frontiers).view(np.uint64).reshape(-1, words)
+    rows, reps = rows[np.lexsort(rows.T[::-1])], reps[np.lexsort(reps.T[::-1])]
+    sizes = np.empty(len(reps), dtype=np.int64)
+    for lo in range(0, len(reps), spread):
+        chunk = reps[lo:lo + spread]
+        fixed = (images(chunk) == chunk[:, None]).all(axis=2).sum(axis=1)
+        sizes[lo:lo + spread] = len(group) // fixed
+    return unpack(rows).astype(gens.dtype), unpack(reps).astype(gens.dtype), sizes
 
 
 def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tuple[int, ...]]:
     """All joins (componentwise maxima) of nonempty sets of generator degrees.
 
     Returned sorted, so iteration order is deterministic.  Raises
-    LatticeCapError beyond `cap` elements.
+    LatticeCapError beyond `cap` elements.  Built by `_lattice_orbits`,
+    which joins one point per orbit of the `_symmetries` group.
     """
     _check_nontrivial(ideal)
-    return [tuple(row) for row in _lattice_rows(ideal.matrix(), cap).tolist()]
+    gens = ideal.matrix()
+    lattice, _, _ = _lattice_orbits(gens, _symmetries(gens), cap)
+    return [tuple(row) for row in lattice.tolist()]
 
 
 def _check_nontrivial(ideal: MonomialIdeal) -> None:
@@ -209,13 +288,14 @@ def _rank_mod_p(columns: list[dict[int, int]], p: int) -> list[int]:
     """Pivot rows of the matrix with these sparse columns {row: entry},
     reduced over GF(p); their number is its rank.
 
-    Column reduction in Python integers, so exact for every p: each column
-    is reduced against the stored pivot columns, keyed by their largest
-    row, until it vanishes or brings a new pivot row.
+    Entries must be nonzero residues, in 1..p - 1.  The columns are
+    consumed: each is reduced in place.  Column reduction in Python
+    integers, so exact for every p: each column is reduced against the
+    stored pivot columns, keyed by their largest row, until it vanishes or
+    brings a new pivot row.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for column in columns:
-        col = {r: v % p for r, v in column.items() if v % p}
+    for col in columns:
         while col:
             row = max(col)
             pivot = pivots.get(row)
@@ -242,16 +322,17 @@ def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
     of reduced H_(s-1).
 
     The boundary of a face f drops each set bit, with sign (-1) to the
-    number of set bits below it, so faces stay bitmasks throughout.  The
-    boundary maps are ranked from the largest faces down, with clearing
-    (Chen and Kerber, "Persistent homology computation with a twist", 2011;
-    Bauer, Kerber and Reininghaus, "Clear and compress", 2014): a face
-    that is a pivot row of the reduction one size up is not a column of
-    its own size's map.  A pivot row r is the largest row of a reduced
-    column R, a chain whose boundary is zero, so the boundary of face r is
-    a combination of the boundaries of faces before it; by induction every
-    skipped column lies in the span of the kept ones, and each rank is
-    unchanged over every field.
+    number of set bits below it, written as its residue 1 or p - 1, so
+    faces stay bitmasks throughout.  The boundary maps are ranked from the
+    largest faces down, with clearing (Chen and Kerber, "Persistent
+    homology computation with a twist", 2011; Bauer, Kerber and
+    Reininghaus, "Clear and compress", 2014): a face that is a pivot row of
+    the reduction one size up is not a column of its own size's map.  A
+    pivot row r is the largest row of a reduced column R, a chain whose
+    boundary is zero, so the boundary of face r is a combination of the
+    boundaries of faces before it; by induction every skipped column lies
+    in the span of the kept ones, and each rank is unchanged over every
+    field.
     """
     ranks = [0] * (len(levels) + 1)
     cleared: set[int] = set()
@@ -268,7 +349,7 @@ def _mask_homology(levels: list[list[int]], p: int) -> list[int]:
                 bit = rest & -rest
                 column[index[face ^ bit]] = sign
                 rest ^= bit
-                sign = -sign
+                sign = p - sign
             columns.append(column)
         cleared = set(_rank_mod_p(columns, p))
         ranks[size] = len(cleared)
@@ -460,31 +541,6 @@ def _symmetries(gens: np.ndarray) -> np.ndarray:
     return perms[kept]
 
 
-def _orbits(points: np.ndarray, group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lex-least point of each orbit of `group` on the rows `points`,
-    with the orbit's size, in the order of `points`.
-
-    `points` must be closed under the group.  A point b is its orbit's
-    least when no image b[P] is lexicographically smaller, and its orbit has
-    |group| / |{P : b[P] = b}| points.  Worked in slices of at most `_CHUNK`
-    image entries.
-    """
-    least = np.empty(len(points), dtype=bool)
-    sizes = np.empty(len(points), dtype=np.int64)
-    step = max(1, _CHUNK // group.size)
-    for lo in range(0, len(points), step):
-        chunk = points[lo:lo + step]
-        b, images = chunk[:, None, :], chunk[:, group]
-        moved = images != b
-        # compared at the first column where an image differs from b, or at
-        # column 0 for b itself
-        first = moved.argmax(axis=2)[..., None]
-        smaller = np.take_along_axis(images < b, first, axis=2)
-        least[lo:lo + step] = ~smaller.any(axis=(1, 2))
-        sizes[lo:lo + step] = len(group) // (~moved.any(axis=2)).sum(axis=1)
-    return points[least], sizes[least]
-
-
 def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                  cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
     """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
@@ -493,8 +549,9 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     of its facets, one bitmask over the positions of supp(b) per generator
     dividing b.  A permutation P of the variables that maps the generators
     onto themselves maps the complex at b onto the one at b[P], so
-    beta_(i, b[P]) = beta_(i, b): the table is summed over one point per
-    orbit of the `_symmetries` group, weighted by the orbit's size.  Many
+    beta_(i, b[P]) = beta_(i, b): the `_symmetries` group is found first,
+    `_lattice_orbits` joins and returns one point per orbit with the orbit's
+    size, and the table is summed over those points, weighted by size.  Many
     points share a facet pattern, so homology is computed once per tuple of
     maximal facets within this call, on the pattern's strong-collapse core;
     a core that is a cone adds nothing.
@@ -502,12 +559,7 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     check_prime(p)
     _check_nontrivial(ideal)
     gens = ideal.matrix()
-    points = _lattice_rows(gens, cap)
-    group = _symmetries(gens)
-    if len(group) > 1:
-        points, orbit_sizes = _orbits(points, group)
-    else:
-        orbit_sizes = np.ones(len(points), dtype=np.int64)
+    _, points, orbit_sizes = _lattice_orbits(gens, _symmetries(gens), cap)
     dims_by_pattern: dict[tuple[int, ...], list[int]] = {}
     entries: dict[tuple[int, int], int] = {}
     step = max(1, _CHUNK // len(gens))

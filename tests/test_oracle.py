@@ -13,8 +13,8 @@ from cyclebetti.families import (corner_power, cycle_path_ideal, long_path_ideal
 from cyclebetti import oracle
 from cyclebetti.cli import build_ideal
 from cyclebetti.monomials import MAX_EXPONENT, Monomial, MonomialIdeal, variable
-from cyclebetti.oracle import (DEFAULT_PRIME, PRIME_CHECK_BOUND, BettiTable, LatticeCapError,
-                               SimplicialComplex, _faces, _is_prime,
+from cyclebetti.oracle import (DEFAULT_LATTICE_CAP, DEFAULT_PRIME, PRIME_CHECK_BOUND,
+                               BettiTable, LatticeCapError, SimplicialComplex, _faces, _is_prime,
                                _koszul_complex, _mask_homology, _rank_mod_p,
                                _strong_core, check_prime, graded_betti,
                                homology_dims, lcm_lattice, upper_koszul)
@@ -30,6 +30,10 @@ TRIANGLE = ideal((1, 1, 0), (0, 1, 1), (1, 0, 1))
 # so each row takes two
 TWO_WORDS = MonomialIdeal([Monomial(tuple((3 * i + 5 * v) % 8 for v in range(17)))
                            for i in range(6)])
+# members fixed by the dihedral group of their cycle; the last has two
+# lattice words per row (24 variables, exponents up to 2) and a group of 48
+SYMMETRIC = [short_path_ideal(6) ** 2, cycle_path_ideal(8, 2) ** 2,
+             cycle_path_ideal(24, 23) ** 2]
 
 
 class TestLcmLattice:
@@ -59,12 +63,23 @@ class TestLcmLattice:
         assert reached > 100 and "cap of 100" in str(caught.value)
 
     @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
-                                   mixed_power(5, 1, 1), TWO_WORDS])
+                                   mixed_power(5, 1, 1), TWO_WORDS] + SYMMETRIC)
     def test_cap_is_inclusive(self, I):
         size = len(lcm_lattice(I))
         assert len(lcm_lattice(I, cap=size)) == size
-        with pytest.raises(LatticeCapError):
+        with pytest.raises(LatticeCapError) as caught:
             lcm_lattice(I, cap=size - 1)
+        assert_reached_past(caught.value, size - 1)
+
+    @pytest.mark.parametrize("I", SYMMETRIC, ids=["I(6)^2", "Jc(8,2)^2", "Jc(24,23)^2"])
+    def test_table_cap_is_inclusive_under_symmetry(self, I):
+        # orbits join the lattice whole, and the cap still counts its points
+        size = len(lcm_lattice(I))
+        assert len(oracle._symmetries(I.matrix())) == 2 * I.ambient
+        assert graded_betti(I, cap=size) == graded_betti(I)
+        with pytest.raises(LatticeCapError) as caught:
+            graded_betti(I, cap=size - 1)
+        assert_reached_past(caught.value, size - 1)
 
     @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
                                    mixed_power(6, 1, 2), cycle_path_ideal(9, 2),
@@ -108,6 +123,12 @@ class TestLcmLattice:
             for a in lattice:
                 for b in lattice:
                     assert tuple(map(max, a, b)) in lattice
+
+
+def assert_reached_past(error, cap):
+    """The cap error names its cap and a lattice size reached past it."""
+    reached = int(re.search(r"reached (\d+) elements", str(error))[1])
+    assert reached > cap and f"cap of {cap}" in str(error)
 
 
 def frontier_lattice(ideal):
@@ -318,7 +339,8 @@ def facet_patterns(I, points=None):
 def orbit_points(I):
     """The lattice points `graded_betti` ranks: one per orbit of the
     detected symmetry group."""
-    points, _ = oracle._orbits(np.array(lcm_lattice(I)), oracle._symmetries(I.matrix()))
+    gens = I.matrix()
+    _, points, _ = oracle._lattice_orbits(gens, oracle._symmetries(gens), DEFAULT_LATTICE_CAP)
     return [tuple(b) for b in points.tolist()]
 
 
@@ -564,6 +586,18 @@ def small_ideals(draw):
     return MonomialIdeal([Monomial(r) for r in rows], n)
 
 
+def assert_orbits_partition(I):
+    """`_lattice_orbits` returns the lex-least point of each orbit of the
+    detected group on the lattice, in lattice order, and the orbit sizes."""
+    lattice = lcm_lattice(I)
+    group = oracle._symmetries(I.matrix()).tolist()
+    orbits = {b: {tuple(b[j] for j in perm) for perm in group} for b in lattice}
+    _, points, sizes = oracle._lattice_orbits(I.matrix(), np.array(group), DEFAULT_LATTICE_CAP)
+    assert [tuple(b) for b in points.tolist()] == [b for b in lattice if b == min(orbits[b])]
+    assert sizes.tolist() == [len(orbits[tuple(b)]) for b in points.tolist()]
+    assert sizes.sum() == len(lattice)
+
+
 SMALL_MEMBERS = [cycle_path_ideal(6, 2) ** 2, cycle_path_ideal(7, 3), long_path_ideal(5) ** 2,
                  short_path_ideal(6) ** 2, mixed_power(6, 1, 1), corner_power(6, 1, 2)]
 
@@ -591,15 +625,18 @@ class TestSymmetry:
         for perm in group:
             assert set(map(tuple, gens[:, perm].tolist())) == rows
 
-    @pytest.mark.parametrize("I", SMALL_MEMBERS + [TRIANGLE, build_ideal("m(x1,x2,x3,x4)^3")])
+    @pytest.mark.parametrize("I", SMALL_MEMBERS + [TRIANGLE, build_ideal("m(x1,x2,x3,x4)^3"),
+                                   TWO_WORDS, SYMMETRIC[-1]])
     def test_orbits_partition_the_lattice(self, I):
-        lattice = lcm_lattice(I)
-        group = oracle._symmetries(I.matrix()).tolist()
-        orbits = {b: {tuple(b[j] for j in perm) for perm in group} for b in lattice}
-        points, sizes = oracle._orbits(np.array(lattice), np.array(group))
-        assert [tuple(b) for b in points.tolist()] == [b for b in lattice if b == min(orbits[b])]
-        assert sizes.tolist() == [len(orbits[tuple(b)]) for b in points.tolist()]
-        assert sizes.sum() == len(lattice)
+        assert_orbits_partition(I)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_ideals())
+    def test_orbits_partition_random_lattices(self, I):
+        if I.is_unit():
+            return
+        assert lcm_lattice(I) == frontier_lattice(I)
+        assert_orbits_partition(I)
 
     @settings(max_examples=40, deadline=None)
     @given(small_ideals(), st.sampled_from([2, 32003]))
@@ -805,7 +842,8 @@ class TestProperties:
         entry = st.sampled_from([-1, 0, 1])
         rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                                   min_size=nrows, max_size=nrows))
-        columns = [{r: rows[r][c] for r in range(nrows) if rows[r][c]}
+        # `_rank_mod_p` takes nonzero residues: -1 is written p - 1
+        columns = [{r: rows[r][c] % p for r in range(nrows) if rows[r][c]}
                    for c in range(ncols)]
         pivots = _rank_mod_p(columns, p)
         assert len(pivots) == dense_rank_mod_p(rows, p)
