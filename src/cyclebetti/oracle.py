@@ -19,7 +19,7 @@ from .monomials import _CHUNK, Monomial, MonomialIdeal
 
 DEFAULT_PRIME = 32003
 DEFAULT_LATTICE_CAP = 200_000
-# facets are int64 bitmasks over the positions of supp(b), and bit 63 is the sign
+# a facet is an int64 bitmask, bit v for column v of its input; bit 63 is the sign
 MAX_SUPPORT = 63
 # Miller-Rabin with the prime bases 2..41 is exact below this bound
 # (Sorenson and Webster 2015); larger characteristics are refused.
@@ -74,11 +74,6 @@ def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
     return keys[fresh]
 
 
-def _check_cap(size: int, cap: int) -> None:
-    if size > cap:
-        raise LatticeCapError(f"lcm lattice reached {size} elements, past its cap of {cap}")
-
-
 def _check_growth(parts: list[np.ndarray], size: int, cap: int) -> None:
     """Raise LatticeCapError when a lattice of `size` rows plus the rows in
     `parts`, each part distinct and new to the lattice, is past `cap`.
@@ -87,7 +82,9 @@ def _check_growth(parts: list[np.ndarray], size: int, cap: int) -> None:
     and counted exactly."""
     if size + sum(map(len, parts)) > cap:
         parts[:] = [_sorted_distinct(np.concatenate(parts))]
-        _check_cap(size + len(parts[0]), cap)
+        if size + len(parts[0]) > cap:
+            raise LatticeCapError(f"lcm lattice reached {size + len(parts[0])} elements, "
+                                  f"past its cap of {cap}")
 
 
 def _lattice_orbits(gens: np.ndarray, group: np.ndarray,
@@ -221,13 +218,17 @@ def lcm_lattice(ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> list[tu
     """All joins (componentwise maxima) of nonempty sets of generator degrees.
 
     Returned sorted, so iteration order is deterministic.  Raises
-    LatticeCapError beyond `cap` elements.  Built by `_lattice_orbits`,
-    which joins one point per orbit of the `_symmetries` group.
+    LatticeCapError beyond `cap` elements.  Built by `_lattice_orbits` on
+    the columns some generator uses, joining one point per orbit of the
+    `_symmetries` group; joins keep the other columns zero.
     """
     _check_nontrivial(ideal)
     gens = ideal.matrix()
-    lattice, _, _ = _lattice_orbits(gens, _symmetries(gens), cap)
-    return [tuple(row) for row in lattice.tolist()]
+    used = gens.any(axis=0)
+    lattice, _, _ = _lattice_orbits(gens[:, used], _symmetries(gens[:, used]), cap)
+    rows = np.zeros((len(lattice), ideal.ambient), dtype=gens.dtype)
+    rows[:, used] = lattice
+    return [tuple(row) for row in rows.tolist()]
 
 
 def _check_nontrivial(ideal: MonomialIdeal) -> None:
@@ -256,21 +257,21 @@ def _koszul_complex(gen_rows: np.ndarray, bexp: tuple[int, ...]) -> SimplicialCo
     """Upper Koszul complex at bexp of the ideal generated by gen_rows.
 
     A subset F of supp(b) is a face when b - e_F is divisible by some
-    generator g, that is when F lies in g's facet from `_facet_masks`.  The
-    faces are `_faces` of the maximal facets, as tuples of the support's
-    vertices, sorted within each size, which is `combinations` order.
+    generator g, that is when F lies in g's facet: `_facet_masks` of the
+    generators dividing b, on the columns of supp(b).  The faces are
+    `_faces` of the maximal facets, as tuples of the support's vertices,
+    sorted within each size, which is `combinations` order.
     """
-    support = tuple(v for v, e in enumerate(bexp) if e > 0)
+    support = [v for v, e in enumerate(bexp) if e > 0]
     # one dtype on both sides keeps numpy's comparisons off the mixed-type loops
-    masks = _facet_masks(np.asarray(gen_rows, dtype=np.int64),
-                         np.array([bexp], dtype=np.int64))[0].tolist()
-    facets = _maximal(sorted({m for m in masks if m >= 0}, reverse=True))
-    if not facets:
-        return SimplicialComplex(support, {})
-    return SimplicialComplex(support, {
+    b, gens = np.array(bexp, dtype=np.int64), np.asarray(gen_rows, dtype=np.int64)
+    masks = _facet_masks(gens[(gens <= b).all(axis=1)][:, support], b[None, support])
+    facets = _maximal(sorted(set(masks[0].tolist()), reverse=True))
+    levels = _faces(facets) if facets else []
+    return SimplicialComplex(tuple(support), {
         size - 1: sorted(tuple(v for j, v in enumerate(support) if face >> j & 1)
                          for face in level)
-        for size, level in enumerate(_faces(facets))})
+        for size, level in enumerate(levels)})
 
 
 def upper_koszul(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex:
@@ -426,27 +427,23 @@ class BettiTable:
 
 
 def _facet_masks(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """(points, generators) int64 array: the facet {v in supp b : g_v < b_v}
-    as a bitmask over the positions of supp(b) where g divides b, else -1.
+    """(points, generators) int64 array: the facet {v : g_v < b_v}, bit v
+    for column v, where g divides b, else -1.
 
-    Built one variable at a time, so no (points, generators, variables)
-    array is ever allocated.  Raises LatticeCapError when a support has more
-    than MAX_SUPPORT variables, whose bits would not fit in an int64.
+    Built one column at a time, so no (points, generators, columns) array
+    is ever allocated.  Callers pass only the columns facets are built on:
+    past MAX_SUPPORT, whose bits overflow an int64, raises LatticeCapError.
     """
-    inside = points > 0
-    positions = np.cumsum(inside, axis=1)
-    widest = int(positions.max(initial=0))
-    if widest > MAX_SUPPORT:
-        raise LatticeCapError(f"lcm lattice point has a support of {widest} variables, "
+    columns = gens.shape[1]
+    if columns > MAX_SUPPORT:
+        raise LatticeCapError(f"lcm lattice point has a support of {columns} variables, "
                               f"past the oracle's limit of {MAX_SUPPORT}")
-    # the bit of vertex v is its position within supp(b)
-    bits = np.where(inside, np.left_shift(1, positions - 1), 0)
     masks = np.zeros((len(points), len(gens)), dtype=np.int64)
     divides = np.ones(masks.shape, dtype=bool)
     strict = np.empty(masks.shape, dtype=bool)
-    for g_col, b_col, bit in zip(gens.T, points.T[:, :, None], bits.T[:, :, None]):
+    for v, (g_col, b_col) in enumerate(zip(gens.T, points.T[:, :, None])):
         divides &= g_col <= b_col
-        np.add(masks, bit, out=masks, where=np.less(g_col, b_col, out=strict))
+        np.bitwise_or(masks, 1 << v, out=masks, where=np.less(g_col, b_col, out=strict))
     masks[~divides] = -1
     return masks
 
@@ -512,10 +509,10 @@ def _faces(facets: tuple[int, ...]) -> list[list[int]]:
 
 
 def _symmetries(gens: np.ndarray) -> np.ndarray:
-    """The dihedral permutations of the variables that map the generator set
+    """The dihedral permutations of the columns that map the generator set
     onto itself, one row of column indices each, the identity first.
 
-    Of the 2n rotations and reflections of the n variables, those that
+    Of the 2n rotations and reflections of the n columns, those that
     keep the column sums are tested exactly: P is kept when the rows of
     gens[:, P] are the rows of gens.  Rows compare as voids of their bytes,
     sorted per candidate, in slices of at most max(`_CHUNK`, gens.size)
@@ -545,10 +542,11 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
                  cap: int = DEFAULT_LATTICE_CAP) -> BettiTable:
     """Full graded Betti table of a nonzero, non-unit monomial ideal over GF(p).
 
-    The upper Koszul complex at a lattice point b is the downward closure
-    of its facets, one bitmask over the positions of supp(b) per generator
-    dividing b.  A permutation P of the variables that maps the generators
-    onto themselves maps the complex at b onto the one at b[P], so
+    It keeps the columns some generator uses, the support of the top
+    lattice point.  The upper Koszul complex at a lattice point b is the
+    downward closure of its facets, one bitmask over those columns per
+    generator dividing b.  A permutation P of the columns that maps the
+    generators onto themselves maps the complex at b onto the one at b[P], so
     beta_(i, b[P]) = beta_(i, b): the `_symmetries` group is found first,
     `_lattice_orbits` joins and returns one point per orbit with the orbit's
     size, and the table is summed over those points, weighted by size.  Many
@@ -559,6 +557,7 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     check_prime(p)
     _check_nontrivial(ideal)
     gens = ideal.matrix()
+    gens = gens[:, gens.any(axis=0)]
     _, points, orbit_sizes = _lattice_orbits(gens, _symmetries(gens), cap)
     dims_by_pattern: dict[tuple[int, ...], list[int]] = {}
     entries: dict[tuple[int, int], int] = {}

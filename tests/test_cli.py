@@ -358,6 +358,16 @@ class TestSupportLimit:
         assert done.stderr == ("error: lcm lattice point has a support of 64 variables, "
                                "past the oracle's limit of 63\n")
 
+    def test_unused_variables_cost_nothing(self):
+        # the oracle ranks only the columns some generator uses: one of a million
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "cyclebetti", "table", "m(x1000000)",
+                               "--route", "oracle", "--format", "csv"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.splitlines() == ["i,j,value", "0,1,1"]
+
 
 class TestCandidateCapCommand:
     def test_cap_exit_code(self, capsys):

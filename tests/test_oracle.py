@@ -81,6 +81,29 @@ class TestLcmLattice:
             graded_betti(I, cap=size - 1)
         assert_reached_past(caught.value, size - 1)
 
+    @pytest.mark.parametrize("I", SYMMETRIC[:1] + [cycle_path_ideal(6, 2) ** 2],
+                             ids=["I(6)^2", "Jc(6,2)^2"])
+    def test_orbit_slices_are_capped_before_they_join(self, I, monkeypatch):
+        # the new rows a frontier finds are checked against the cap, then
+        # expanded to whole orbits and checked again, slice by slice, before
+        # they join the lattice: at every check, the lattice held so far is
+        # within its cap, so a cap crossed by the orbits of a frontier's new
+        # rows fires before any join batch of that frontier
+        size = len(lcm_lattice(I))
+        held = []
+        real = oracle._check_growth
+
+        def spy(parts, lattice_size, cap):
+            held.append(lattice_size)
+            real(parts, lattice_size, cap)
+        monkeypatch.setattr(oracle, "_check_growth", spy)
+        for cap in range(1, size):
+            held.clear()
+            with pytest.raises(LatticeCapError) as caught:
+                lcm_lattice(I, cap=cap)
+            assert_reached_past(caught.value, cap)
+            assert max(held) <= cap
+
     @pytest.mark.parametrize("I", [TRIANGLE, ideal((2, 1)), long_path_ideal(6) ** 2,
                                    mixed_power(6, 1, 2), cycle_path_ideal(9, 2),
                                    cycle_path_ideal(5, 2) * Monomial((255, 0, 255, 1, 254)),
@@ -322,16 +345,17 @@ def count_calls(monkeypatch, name):
 
 
 def facet_patterns(I, points=None):
-    """Distinct sets of maximal faces, as position masks, over the points
-    (by default the whole lattice), read off the upper Koszul complexes
-    themselves."""
+    """Distinct sets of maximal faces, as masks with bit j for the j-th
+    column some generator uses, over the points (by default the whole
+    lattice), read off the upper Koszul complexes themselves."""
+    used = [v for v in range(I.ambient) if any(g.exponents[v] for g in I.gens)]
+    column = {v: j for j, v in enumerate(used)}
     patterns = set()
     for b in lcm_lattice(I) if points is None else points:
         cx = upper_koszul(I, Monomial(b))
-        position = {v: j for j, v in enumerate(cx.vertices)}
         faces = [set(f) for level in cx.faces.values() for f in level]
         patterns.add(frozenset(
-            sum(1 << position[v] for v in f)
+            sum(1 << column[v] for v in f)
             for f in faces if not any(f < other for other in faces)))
     return patterns
 
@@ -358,7 +382,8 @@ class TestPatternMemo:
         collapses = count_calls(monkeypatch, "_strong_core")
         kernels = count_calls(monkeypatch, "_mask_homology")
         graded_betti(I, 32003)
-        patterns = facet_patterns(I)
+        # symmetric points differ by a column permutation, so their masks differ
+        patterns = facet_patterns(I, orbit_points(I))
         assert len(lcm_lattice(I)) == 2275
         assert collapses[0] <= 200
         assert collapses[0] == len(patterns)
@@ -576,7 +601,7 @@ def dihedral_closure(rows, n):
 
 
 @st.composite
-def small_ideals(draw):
+def dihedral_ideals(draw):
     """Random generators over 2..5 variables, either as drawn or closed
     under the dihedral group."""
     n = draw(st.integers(2, 5))
@@ -631,7 +656,7 @@ class TestSymmetry:
         assert_orbits_partition(I)
 
     @settings(max_examples=60, deadline=None)
-    @given(small_ideals())
+    @given(dihedral_ideals())
     def test_orbits_partition_random_lattices(self, I):
         if I.is_unit():
             return
@@ -639,7 +664,7 @@ class TestSymmetry:
         assert_orbits_partition(I)
 
     @settings(max_examples=40, deadline=None)
-    @given(small_ideals(), st.sampled_from([2, 32003]))
+    @given(dihedral_ideals(), st.sampled_from([2, 32003]))
     def test_reduced_table_equals_unreduced(self, I, p):
         if I.is_unit():
             return
@@ -784,6 +809,25 @@ def permuted_ideals(draw, max_ambient=5, max_exponent=3):
     return I, J
 
 
+@st.composite
+def widened_ideals(draw):
+    """(compact, wide, place): an ideal from `small_ideals` and its
+    generators relabelled into a ring of 1 to 4 more variables, column j
+    moved to column place[j]; no generator uses the other columns."""
+    compact, gens = draw(small_ideals())
+    ambient = compact.ambient + draw(st.integers(1, 4))
+    place = draw(st.permutations(range(ambient)))[:compact.ambient]
+    return compact, MonomialIdeal([widened(g, place, ambient) for g in gens]), place
+
+
+def widened(exponents, place, ambient):
+    """The monomial with exponents[j] at column place[j], zero elsewhere."""
+    row = [0] * ambient
+    for j, e in zip(place, exponents):
+        row[j] = e
+    return Monomial(row)
+
+
 def definition_faces(I, b):
     """Faces of the upper Koszul complex at b straight from the definition:
     F in supp(b) is a face when b - e_F lies in I, in `combinations` order."""
@@ -834,6 +878,18 @@ class TestProperties:
         I, _ = drawn
         for b in lcm_lattice(I):
             assert upper_koszul(I, Monomial(b)).faces == definition_faces(I, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(widened_ideals())
+    def test_unused_columns_change_nothing(self, drawn):
+        compact, wide, place = drawn
+        for p in (2, 32003):
+            assert graded_betti(wide, p).entries == graded_betti(compact, p).entries
+        lattice = lcm_lattice(wide)
+        assert lattice == sorted(widened(b, place, wide.ambient).exponents
+                                 for b in lcm_lattice(compact))
+        for b in lattice:
+            assert upper_koszul(wide, Monomial(b)).faces == definition_faces(wide, b)
 
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from([2, 3, 32003]), st.integers(1, 6), st.integers(1, 6),
