@@ -2,9 +2,23 @@
 
 Every term of the splitting recursions is beta_i or beta_{i-1} of a smaller
 family, so on the whole sequence beta_0..beta_pd a recursion step is a sum
-of sequences, some multiplied by (1 + z).  The recursions here carry whole
-Betti sequences: tuples of ints with trailing zeros stripped, () for the
-zero sequence, cached per (family, n, s, t).
+of sequences, some multiplied by (1 + z).  Callers get whole Betti
+sequences: tuples of ints with trailing zeros stripped, () for the zero
+sequence, cached per (family, n, s, t).
+
+Inside, a sequence is one packed integer, sum of beta_i * 2^(W*i), in
+fields of W bits (Kronecker substitution), so adding sequences is one
+integer addition and multiplying by (1 + z) is ``p + (p << W)``.  The top
+W // 8 bits of every field are guard bits: each stored value keeps them
+clear.  A step adds at most 1 + 2P stored values (P chain pairs, or three
+terms of a long-path row); while 1 + 2P < 2^(W // 8) every field of the
+sum stays below 2^W, so no carry crosses a field and the packed sum is the
+entry-wise sum exactly.  One AND with the guard mask re-checks the
+invariant after each step.  When it fails, or a leaf entry is too large,
+the whole requested sequence is recomputed at width 2W, starting at
+W = 64; no value computed at one width is read at another.  Nothing is
+subtracted, so a negative entry can enter only through a leaf, and packing
+refuses it there.
 
 Two recursions live here.  The long-path recursion computes the sequence of
 long(n-1)^s * long(n)^t from the splitting off the first generator; it runs
@@ -27,32 +41,71 @@ from functools import cache
 
 from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
 from .formulas import (reduced_power_betti, reduced_power_pd_reg, seq_entry,
-                       short_path_betti, short_path_seq, strip_zeros)
+                       short_path_betti, short_path_seq)
 
 Seq = tuple[int, ...]
 
-
-def _add(*seqs: Seq) -> Seq:
-    out = [0] * max(map(len, seqs), default=0)
-    for seq in seqs:
-        for i, value in enumerate(seq):
-            out[i] += value
-    return strip_zeros(out)
+_FIRST_WIDTH = 64  # bits per field; doubled until every field fits
 
 
-def _one_plus_z(seq: Seq) -> Seq:
-    """(1 + z) * seq: entry i becomes seq[i] + seq[i-1]."""
-    if not seq:
-        return ()
-    return tuple(a + b for a, b in zip(seq + (0,), (0,) + seq))
+class _FieldOverflow(Exception):
+    """A field reached its guard bits: recompute at twice the width."""
+
+
+def _pack(seq: Seq, width: int, which: str, n: int, s: int, t: int) -> int:
+    """A leaf sequence as one packed integer, field i holding entry i."""
+    limit = 1 << (width - width // 8)
+    packed = 0
+    for i, value in enumerate(seq):
+        if value < 0:
+            raise ArithmeticError(
+                f"negative value in {which} recursion at {(n, s, t, i)}: {value}")
+        if value >= limit:
+            raise _FieldOverflow
+        packed |= value << (width * i)
+    return packed
+
+
+@cache
+def _guards(width: int, fields: int) -> int:
+    """The guard bits, the top width // 8 of each field, of fields fields."""
+    guard = ((1 << width // 8) - 1) << (width - width // 8)
+    return guard * (((1 << width * fields) - 1) // ((1 << width) - 1))
+
+
+def _guarded(packed: int, width: int) -> int:
+    """packed, once every one of its fields is checked clear of its guards.
+    The mask covers a power of two of fields, at least as many as packed
+    has, so one mask per width and power of two serves every length."""
+    if packed & _guards(width, 1 << (packed.bit_length() // width).bit_length()):
+        raise _FieldOverflow
+    return packed
+
+
+def _unpack(packed: int, width: int) -> Seq:
+    """The stripped sequence of a packed integer: its top field is nonzero."""
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    return tuple(int.from_bytes(raw[i:i + size], "little")
+                 for i in range(0, len(raw), size))
+
+
+def _widening(packed_at):
+    """The stripped sequence of packed_at(width) at the first width that fits."""
+    width = _FIRST_WIDTH
+    while True:
+        try:
+            return _unpack(packed_at(width), width)
+        except _FieldOverflow:
+            width *= 2
 
 
 def clear_caches() -> None:
     """Drop every cache of the recursion and closed routes (results must be
     unaffected)."""
-    for cached in (_long_path_seq, _chain_seq, _chain_step, _chain_terms,
-                   short_path_pd_rec, short_path_seq):
-        cached.cache_clear()
+    for value in list(globals().values()):
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +126,8 @@ def long_path_seq(n: int, s: int, t: int) -> Seq:
     return _long_path_seq(n, s, t)
 
 
-def _long_path_row(below: list[Seq], s: int, t: int) -> list[Seq]:
-    """L(k, s, 0..t) from below = L(k-1, 0, 0..s+t).
+def _long_path_row(below: list[int], s: int, t: int, width: int) -> list[int]:
+    """L(k, s, 0..t), packed, from below = L(k-1, 0, 0..s+t).
 
     Unrolling the recursion over t and differencing in t gives
     L(k, s, t) = L(k, s, t-1) + z L(k-1, 0, s+t-1) + L(k-1, 0, s+t), so a
@@ -82,18 +135,21 @@ def _long_path_row(below: list[Seq], s: int, t: int) -> list[Seq]:
     """
     row = [below[s]]
     for u in range(1, t + 1):
-        row.append(_add(row[-1], (0,) + below[s + u - 1], below[s + u]))
+        row.append(_guarded(row[-1] + (below[s + u - 1] << width) + below[s + u], width))
     return row
 
 
 @cache
 def _long_path_seq(n: int, s: int, t: int) -> Seq:
-    if n == 2:
-        return strip_zeros((t + 1, t))
-    row = [strip_zeros((u + 1, u)) for u in range(s + t + 1)]  # L(2, 0, u)
-    for _ in range(3, n):
-        row = _long_path_row(row, 0, s + t)
-    return _long_path_row(row, s, t)[t]
+    def packed_at(width):
+        # L(2, 0, u) = (u+1, u); at n = 2 the sequence is (t+1, t) for every s
+        row = [_pack((u + 1, u), width, "long-path", 2, 0, u) for u in range(s + t + 1)]
+        if n == 2:
+            return row[t]
+        for _ in range(3, n):
+            row = _long_path_row(row, 0, s + t, width)
+        return _long_path_row(row, s, t, width)[t]
+    return _widening(packed_at)
 
 
 def long_path_rec(n: int, s: int, t: int, i: int) -> int:
@@ -111,7 +167,15 @@ def long_path_rec(n: int, s: int, t: int, i: int) -> int:
 def _reduced_power_seq(n: int, s: int) -> Seq:
     """t = 0 leaf: the pd + 1 nonzero closed-form terms of reduced(n)^s."""
     pd = reduced_power_pd_reg(n, s)[0]
-    return strip_zeros(reduced_power_betti(n, s, i) for i in range(pd + 1))
+    return tuple(reduced_power_betti(n, s, i) for i in range(pd + 1))
+
+
+@cache
+def _member(family: str, s: int, t: int) -> tuple[str, int, int]:
+    """One shared (family, s, t) tuple, however many chain steps name it, so
+    the pair lists _chain_terms caches hold one tuple per member, not one
+    per pair (about 440,000 of them in mixed(240, 60, 60))."""
+    return family, s, t
 
 
 @cache
@@ -122,32 +186,30 @@ def _chain_terms(which: str, s: int, t: int, strict: bool):
     each member given as (family, s, t).  The head, the top piece's t = 0
     member, is named "mixed" from both families so they share cache entries.
     """
-    head = ("mixed", *chain_pair(s, t, s + t, which))
+    head = _member("mixed", *chain_pair(s, t, s + t, which))
     if which == "mixed":
-        return head, tuple(("corner", a, b) for a, b in mixed_chain_pairs(s, t))
-    return head, tuple(("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict))
+        return head, tuple(_member("corner", a, b) for a, b in mixed_chain_pairs(s, t))
+    return head, tuple(_member("mixed", a, b)
+                       for a, b in corner_chain_pairs(s, t, strict=strict))
 
 
 @cache
-def _chain_step(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
-    """One step of the mutual recursion.  The members one size down come
-    from this cache; _chain_seq fills it bottom-up so the stack stays flat."""
+def _chain_step(which: str, n: int, s: int, t: int, strict: bool, width: int) -> int:
+    """One step of the mutual recursion, packed in fields of width bits.
+    The members one size down come from this cache; _chain_seq fills it
+    bottom-up so the stack stays flat."""
     if s < 0 or t < 0:
-        return ()
-    if n == 2:
-        seq = (1,) if which == "mixed" else strip_zeros((t + 1, t))  # corner: (x1,x2)^t
-    elif t == 0:
-        seq = _reduced_power_seq(n, s)
-    else:
-        (hw, ha, hb), pairs = _chain_terms(which, s, t, strict)
-        seq = _add(_chain_step(hw, n - 1, ha, hb, strict),
-                   _one_plus_z(_add(*(_chain_step(w, n - 1, a, b, strict)
-                                      for w, a, b in pairs))))
-    for i, value in enumerate(seq):
-        if value < 0:
-            raise ArithmeticError(
-                f"negative value in {which} recursion at {(n, s, t, i)}: {value}")
-    return seq
+        return 0
+    if n == 2:  # mixed: the unit ideal; corner: (x1,x2)^t
+        return _pack((1,) if which == "mixed" else (t + 1, t), width, which, n, s, t)
+    if t == 0:
+        return _pack(_reduced_power_seq(n, s), width, which, n, s, t)
+    (hw, ha, hb), pairs = _chain_terms(which, s, t, strict)
+    if 2 * len(pairs) + 1 >= 1 << width // 8:  # the sum could carry past the guards
+        raise _FieldOverflow
+    acc = sum([_chain_step(w, n - 1, a, b, strict, width) for w, a, b in pairs])
+    return _guarded(_chain_step(hw, n - 1, ha, hb, strict, width) + acc + (acc << width),
+                    width)
 
 
 @cache
@@ -163,10 +225,13 @@ def _chain_seq(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
         if not below:
             break
         levels.append(below)
-    for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
-        for w, a, b in members:
-            _chain_step(w, size, a, b, strict)
-    return _chain_step(which, n, s, t, strict)
+
+    def packed_at(width):
+        for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
+            for w, a, b in members:
+                _chain_step(w, size, a, b, strict, width)
+        return _chain_step(which, n, s, t, strict, width)
+    return _widening(packed_at)
 
 
 def mixed_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:

@@ -1,3 +1,4 @@
+import functools
 import inspect
 import random
 import re
@@ -12,8 +13,8 @@ from cyclebetti.families import (corner_chain_pairs, corner_power,
                                  mixed_chain_pairs, mixed_power,
                                  support_envelope)
 from cyclebetti.formulas import (long_path_betti, reduced_power_betti,
-                                 short_path_betti, short_path_pd_reg,
-                                 short_path_seq)
+                                 reduced_power_pd_reg, short_path_betti,
+                                 short_path_pd_reg, short_path_seq, strip_zeros)
 from cyclebetti.oracle import graded_betti
 from cyclebetti.recursion import (clear_caches, composed_support, corner_rec,
                                   corner_seq, exchange_residual, long_path_rec,
@@ -98,6 +99,67 @@ REFERENCE = {
     "mixed": (ref_mixed_rec, mixed_rec),
     "corner": (ref_corner_rec, corner_rec),
 }
+
+
+# ---------------------------------------------------------------------------
+# Reference: the sequence recursion on tuples of ints, as it was before the
+# sequences were packed into integers.  A step adds whole tuples entry by
+# entry; only the names carry a ref_ prefix, and each member recurses
+# directly, which is deep enough for n <= 40.
+# ---------------------------------------------------------------------------
+
+def ref_add(*seqs):
+    out = [0] * max(map(len, seqs), default=0)
+    for seq in seqs:
+        for i, value in enumerate(seq):
+            out[i] += value
+    return strip_zeros(out)
+
+
+def ref_one_plus_z(seq):
+    """(1 + z) * seq: entry i becomes seq[i] + seq[i-1]."""
+    if not seq:
+        return ()
+    return tuple(a + b for a, b in zip(seq + (0,), (0,) + seq))
+
+
+def ref_long_path_row(below, s, t):
+    """L(k, s, 0..t) from below = L(k-1, 0, 0..s+t)."""
+    row = [below[s]]
+    for u in range(1, t + 1):
+        row.append(ref_add(row[-1], (0,) + below[s + u - 1], below[s + u]))
+    return row
+
+
+@functools.cache
+def ref_long_path_seq(n, s, t):
+    if s < 0 or t < 0:
+        return ()
+    if n == 2:
+        return strip_zeros((t + 1, t))
+    row = [strip_zeros((u + 1, u)) for u in range(s + t + 1)]  # L(2, 0, u)
+    for _ in range(3, n):
+        row = ref_long_path_row(row, 0, s + t)
+    return ref_long_path_row(row, s, t)[t]
+
+
+@functools.cache
+def ref_chain_seq(which, n, s, t, strict):
+    if s < 0 or t < 0:
+        return ()
+    if n == 2:
+        return (1,) if which == "mixed" else strip_zeros((t + 1, t))
+    if t == 0:
+        return strip_zeros(reduced_power_betti(n, s, i)
+                           for i in range(reduced_power_pd_reg(n, s)[0] + 1))
+    if which == "mixed":
+        head, pairs = ("mixed", s + t, 0), [("corner", a, b) for a, b in mixed_chain_pairs(s, t)]
+    else:
+        head, pairs = ("mixed", s, 0), [("mixed", a, b)
+                                        for a, b in corner_chain_pairs(s, t, strict=strict)]
+    return ref_add(ref_chain_seq(head[0], n - 1, *head[1:], strict),
+                   ref_one_plus_z(ref_add(*(ref_chain_seq(w, n - 1, a, b, strict)
+                                            for w, a, b in pairs))))
 
 
 class TestLongPathRec:
@@ -254,6 +316,21 @@ class TestCacheHygiene:
         assert short_path_seq.cache_info().currsize == 0
         assert short_path_pd_rec.cache_info().currsize == 0
 
+    def test_clear_caches_empties_every_recursion_memo(self):
+        mixed_seq(12, 3, 3)
+        corner_seq(12, 3, 3, strict_delta=True)
+        long_path_seq(12, 2, 3)
+        short_path_betti(9, 2, 3, 1)
+        short_path_pd_rec(9, 2, 3)
+        memos = {name: value for name, value in vars(recursion).items()
+                 if hasattr(value, "cache_clear")}
+        assert {"_chain_step", "_chain_seq", "_long_path_seq", "short_path_seq",
+                "short_path_pd_rec"} <= set(memos)
+        assert all(memo.cache_info().currsize > 0 for memo in memos.values())
+        clear_caches()
+        assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \
+            dict.fromkeys(memos, 0)
+
     def test_cold_and_warm_values_agree(self):
         def values():
             return ([short_path_seq(n, s, t) for n, s, t in pd_grid()],
@@ -319,6 +396,89 @@ class TestSequenceRecursion:
             return
         for i in range(-2, n + 3):
             assert new(n, s, t, i, strict) == ref(n, s, t, i, strict), (kind, n, s, t, i)
+
+    def test_chain_sequences_equal_tuple_reference(self):
+        for strict in (False, True):
+            for n in range(2, 31):
+                for s in range(9):
+                    for t in range(9):
+                        assert mixed_seq(n, s, t, strict) == \
+                            ref_chain_seq("mixed", n, s, t, strict), (n, s, t, strict)
+                        assert corner_seq(n, s, t, strict) == \
+                            ref_chain_seq("corner", n, s, t, strict), (n, s, t, strict)
+
+    def test_long_path_sequences_equal_tuple_reference(self):
+        for n in range(2, 41):
+            for s in range(6):
+                for t in range(9):
+                    assert long_path_seq(n, s, t) == ref_long_path_seq(n, s, t), (n, s, t)
+
+    @pytest.mark.parametrize("sequence, closed, bits", [
+        # the steps' sums and the leaves both pass 56 bits
+        pytest.param(lambda: mixed_seq(60, 12, 12),
+                     lambda i: short_path_betti(60, 12, 12, i), 85, id="mixed"),
+        # the leaves are (u+1, u): only the steps' guard check can widen
+        pytest.param(lambda: long_path_seq(100, 0, 16),
+                     lambda i: long_path_betti(100, 16, i), 76, id="long-path"),
+        # a t = 0 member is its own leaf: only packing the leaf can widen
+        pytest.param(lambda: mixed_seq(40, 30, 0),
+                     lambda i: reduced_power_betti(40, 30, i), 80, id="leaf"),
+    ])
+    def test_entries_past_the_first_width_widen(self, monkeypatch, sequence, closed, bits):
+        # a 64-bit field holds 56 bits below its guard bits, so each of
+        # these sequences is recomputed at a wider field
+        widths = set()
+        pack = recursion._pack
+
+        def spy(seq, width, *where):
+            widths.add(width)
+            return pack(seq, width, *where)
+
+        clear_caches()
+        monkeypatch.setattr(recursion, "_pack", spy)
+        try:
+            seq = sequence()
+        finally:
+            clear_caches()
+        assert max(seq).bit_length() == bits
+        assert len(widths) > 1 and min(widths) == 64
+        assert list(seq) == [closed(i) for i in range(len(seq))]
+        assert closed(len(seq)) == 0
+
+    def test_guard_bits_bound_every_field(self):
+        for width in (64, 128):
+            top = 1 << (width - width // 8)  # the least value a field may not hold
+            for field in range(4):
+                fits, spills = (0,) * field + (top - 1,), (0,) * field + (top,)
+                packed = recursion._pack(fits, width, "mixed", 5, 1, 0)
+                assert recursion._guarded(packed, width) == packed
+                assert recursion._unpack(packed, width) == fits
+                for guard in (top, 1 << width - 1):  # lowest and highest guard bit
+                    with pytest.raises(recursion._FieldOverflow):
+                        recursion._guarded(guard << width * field, width)
+                with pytest.raises(recursion._FieldOverflow):
+                    recursion._pack(spills, width, "mixed", 5, 1, 0)
+
+    def test_many_chain_pairs_widen(self, monkeypatch):
+        # 2 * 128 + 1 summed values of 64-bit fields could carry into the
+        # next field, so a step with 128 chain pairs never runs at 64 bits,
+        # although every entry here fits in 15 bits
+        widths = []
+        unpack = recursion._unpack
+
+        def spy(packed, width):
+            widths.append(width)
+            return unpack(packed, width)
+
+        clear_caches()
+        monkeypatch.setattr(recursion, "_unpack", spy)
+        try:
+            seq = mixed_seq(4, 64, 64)
+        finally:
+            clear_caches()
+        assert len(mixed_chain_pairs(64, 64)) == 128
+        assert widths == [128] and max(seq).bit_length() == 15
+        assert list(seq) == [short_path_betti(4, 64, 64, i) for i in range(len(seq))]
 
     def test_sequences_are_stripped_lookups(self):
         for n in range(2, 8):
