@@ -3,6 +3,9 @@
 Everything here is exact integer arithmetic.  Binomials follow the counting
 convention: binomial(a, b) = 0 whenever b < 0, a < b, or a < 0, so the sums
 below silently vanish outside their natural ranges.
+
+Each closed form is evaluated in one place, as a cached whole sequence
+(long_power_seq, short_path_seq) that the per-entry functions read.
 """
 from __future__ import annotations
 
@@ -31,20 +34,27 @@ def seq_entry(seq, i: int) -> int:
     return seq[i] if 0 <= i < len(seq) else 0
 
 
+@cache
+def long_power_seq(n: int, t: int) -> tuple[int, ...]:
+    """Betti sequence of long(n)^t, C(n-1, i) C(n+t-i-1, t-i), for
+    i = 0..min(n-1, t), past which a factor vanishes.  Each entry there is
+    positive; it is (1,) at n = 1 or t = 0, as reduced(2)^t and reduced^0 are."""
+    return tuple(math.comb(n - 1, i) * math.comb(n + t - i - 1, t - i)
+                 for i in range(min(n - 1, t) + 1))
+
+
 def long_path_betti(n: int, t: int, i: int) -> int:
     """i-th total Betti number of the t-th power of the long-path ideal."""
     if n < 2 or t < 1:
         raise ValueError("need n >= 2 and t >= 1")
-    return binomial(n - 1, i) * binomial(n + t - i - 1, t - i)
+    return seq_entry(long_power_seq(n, t), i)
 
 
 def reduced_power_betti(n: int, s: int, i: int) -> int:
     """i-th total Betti number of the s-th power of the reduced short-path ideal."""
     if n < 2 or s < 0:
         raise ValueError("need n >= 2 and s >= 0")
-    if s == 0:
-        return 1 if i == 0 else 0
-    return binomial(n - 2, i) * binomial(n + s - i - 2, s - i)
+    return seq_entry(long_power_seq(n - 1, s), i)
 
 
 def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, int]:

@@ -24,10 +24,10 @@ Two recursions live here.  The long-path recursion computes the sequence of
 long(n-1)^s * long(n)^t from the splitting off the first generator; it runs
 bottom-up over n in a plain loop.  The mixed/corner recursion is mutual:
 each mixed-chain step contributes corner families one cycle size down, and
-each corner-chain step mixed families one size down, until the closed
-reduced-power form takes over at t = 0.  The members it needs are listed
-size by size first and evaluated from the smallest size up, so neither
-recursion's Python stack grows with n.
+each corner-chain step mixed families one size down, until t = 0, where
+reduced(n)^s is formulas.long_power_seq(n-1, s).  The members it needs are
+listed size by size first and evaluated from the smallest size up, so
+neither recursion's Python stack grows with n.
 
 long_path_rec, mixed_rec and corner_rec are index lookups into the cached
 sequences.  The recursions are pure; the caches only affect speed, never
@@ -40,8 +40,7 @@ from collections import Counter
 from functools import cache
 
 from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
-from .formulas import (reduced_power_betti, reduced_power_pd_reg, seq_entry,
-                       short_path_betti, short_path_seq)
+from .formulas import long_power_seq, seq_entry, short_path_betti, short_path_seq
 
 Seq = tuple[int, ...]
 
@@ -164,12 +163,6 @@ def long_path_rec(n: int, s: int, t: int, i: int) -> int:
 # Mutual mixed/corner recursion.
 # ---------------------------------------------------------------------------
 
-def _reduced_power_seq(n: int, s: int) -> Seq:
-    """t = 0 leaf: the pd + 1 nonzero closed-form terms of reduced(n)^s."""
-    pd = reduced_power_pd_reg(n, s)[0]
-    return tuple(reduced_power_betti(n, s, i) for i in range(pd + 1))
-
-
 @cache
 def _member(family: str, s: int, t: int) -> tuple[str, int, int]:
     """One shared (family, s, t) tuple, however many chain steps name it, so
@@ -202,8 +195,8 @@ def _chain_step(which: str, n: int, s: int, t: int, strict: bool, width: int) ->
         return 0
     if n == 2:  # mixed: the unit ideal; corner: (x1,x2)^t
         return _pack((1,) if which == "mixed" else (t + 1, t), width, which, n, s, t)
-    if t == 0:
-        return _pack(_reduced_power_seq(n, s), width, which, n, s, t)
+    if t == 0:  # reduced(n)^s: the long-path closed form one size down
+        return _pack(long_power_seq(n - 1, s), width, which, n, s, t)
     (hw, ha, hb), pairs = _chain_terms(which, s, t, strict)
     if 2 * len(pairs) + 1 >= 1 << width // 8:  # the sum could carry past the guards
         raise _FieldOverflow

@@ -8,7 +8,6 @@ case finishes, that serialize to JSON lines, one per line, schema
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import random
 import time
@@ -147,13 +146,11 @@ class FamilyCase:
 
 
 # (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
-# The closed and series routes stop at i = n, which is exhaustive, since the
-# projective dimension is below the n variables.  The mixed closed route is
-# the cached sequence of its closed form over i = 0..n; the long-power closed
-# and series routes evaluate i = 0..n one entry at a time.
+# Both closed routes are cached sequences; the long-power one stops at
+# i = min(n-1, t), where a binomial vanishes.  The series route evaluates
+# i = 0..n, exhaustive since the pd is below the n variables.
 _ROUTE_TOTALS = {
-    ("long-power", "closed"):
-        lambda n, s, t, strict: [formulas.long_path_betti(n, t, i) for i in range(n + 1)],
+    ("long-power", "closed"): lambda n, s, t, strict: formulas.long_power_seq(n, t),
     ("long-power", "recursion"): lambda n, s, t, strict: recursion.long_path_seq(n, 0, t),
     ("long-power", "series"):
         lambda n, s, t, strict: [formulas.series_betti(n, t, i) for i in range(n + 1)],
@@ -168,9 +165,8 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     """Total Betti sequence (i = 0, 1, ...) of the case by the given route.
 
     Routes: "oracle", "closed", "recursion", "series".  Each is one call:
-    the oracle's table, the recursion's or the mixed closed form's cached
-    sequence, or the long-power closed and series forms over i = 0..n.
-    Trailing zeros are stripped.
+    the oracle's table, the recursion's or a closed form's cached sequence,
+    or the series form over i = 0..n.  Trailing zeros are stripped.
     """
     if route == "oracle":
         totals = oracle_table(case.ideal(), char, cap).totals()
@@ -501,11 +497,12 @@ def run_config(config: dict, cap: int = DEFAULT_LATTICE_CAP,
 
 def _run(names: tuple, sweeps: tuple, cap: int, seed: int) -> Iterator[Report]:
     """The reports of the named suites, then of the sweeps (kind, (n, s, t)
-    ranges, routes, chars), each started when its first report is asked for."""
+    ranges, routes, chars), each started when its first report is asked for;
+    a sweep builds each case only when it reaches it."""
     for name in names:
         yield from SUITES[name](cap, seed)
-    for kind, ranges, routes, chars in sweeps:
-        cases = [FamilyCase(kind, n, s, t) for n, s, t in itertools.product(*ranges)]
+    for kind, (ns, ss, ts), routes, chars in sweeps:
+        cases = (FamilyCase(kind, n, s, t) for n in ns for s in ss for t in ts)
         yield from cross_validate(cases, routes, chars, cap)
 
 

@@ -419,6 +419,22 @@ class TestLongRecursionCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].splitlines()[1].split() == ["total:", "80200", "159600", "79401"]
 
+    def test_formula_table_at_n10000(self):
+        # the closed form stops at i = t, where its binomials vanish, so a
+        # long path of 10,000 variables costs three entries
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        outputs = []
+        for route in ("formula", "recursion"):
+            done = subprocess.run(
+                [sys.executable, "-m", "cyclebetti", "table", "Jc(10000,9999)^2",
+                 "--route", route, "--format", "csv"],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines() == [
+            "i,j,value", "0,19998,50005000", "1,19999,99990000", "2,20000,49985001"]
+
 
 class TestGfCommand:
     def test_columns(self, capsys):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from cyclebetti import formulas
 from cyclebetti.families import long_path_ideal, mixed_power
 from cyclebetti.formulas import (binomial, long_path_betti, long_path_pd_reg,
-                                 reduced_power_betti, reduced_power_pd_reg,
+                                 long_power_seq, reduced_power_betti,
+                                 reduced_power_pd_reg,
                                  series_betti, short_path_betti,
                                  short_path_betti_parts, short_path_pd_reg,
                                  short_path_seq)
@@ -50,6 +51,49 @@ class TestLongPathBetti:
                 totals = graded_betti(long_path_ideal(n) ** t).totals()
                 want = [long_path_betti(n, t, i) for i in range(len(totals))]
                 assert totals == want
+
+
+def literal_long_path_betti(n, t, i):
+    """The m = n-1 closed form, entry by entry, as first written."""
+    return binomial(n - 1, i) * binomial(n + t - i - 1, t - i)
+
+
+def literal_reduced_power_betti(n, s, i):
+    """The reduced-power form, with its s = 0 case, as first written."""
+    if s == 0:
+        return 1 if i == 0 else 0
+    return binomial(n - 2, i) * binomial(n + s - i - 2, s - i)
+
+
+class TestLongPowerSeq:
+    def test_lookups_equal_the_literal_forms(self):
+        for n in range(2, 31):
+            for u in range(13):
+                for i in range(-2, n + 3):
+                    assert reduced_power_betti(n, u, i) == \
+                        literal_reduced_power_betti(n, u, i), (n, u, i)
+                    want = literal_long_path_betti(n, u, i)
+                    assert formulas.seq_entry(long_power_seq(n, u), i) == want, (n, u, i)
+                    if u >= 1:
+                        assert long_path_betti(n, u, i) == want, (n, u, i)
+
+    def test_stops_where_a_binomial_vanishes(self):
+        for n in range(1, 12):
+            for t in range(8):
+                seq = long_power_seq(n, t)
+                assert len(seq) == min(n - 1, t) + 1 and all(v > 0 for v in seq)
+        assert long_power_seq(1, 5) == long_power_seq(6, 0) == (1,)
+
+    def test_huge_n_costs_t_terms(self):
+        n = 10**6
+        assert long_power_seq(n, 2) == (
+            (n + 1) * n // 2, (n - 1) * n, (n - 1) * (n - 2) // 2)
+
+    def test_lookups_keep_their_domains(self):
+        with pytest.raises(ValueError):
+            long_path_betti(5, 0, 0)
+        with pytest.raises(ValueError):
+            reduced_power_betti(1, 0, 0)
 
 
 class TestReducedPowerBetti:

@@ -514,7 +514,7 @@ class TestSequenceRecursion:
 
     def test_negative_entry_raises(self, monkeypatch):
         clear_caches()
-        monkeypatch.setattr(recursion, "_reduced_power_seq", lambda n, s: (1, -1))
+        monkeypatch.setattr(recursion, "long_power_seq", lambda n, t: (1, -1))
         try:
             with pytest.raises(ArithmeticError, match=re.escape(
                     "negative value in mixed recursion at (4, 1, 0, 1): -1")):

@@ -87,6 +87,13 @@ class TestRouteTotals:
         assert closed == route_totals(case, "series")
         assert closed == route_totals(case, "oracle", char=32003)
 
+    def test_long_power_routes_agree_at_n10000(self):
+        # the closed route stops at i = t, not at i = n
+        case = FamilyCase("long-power", 10000, 0, 2)
+        closed = route_totals(case, "closed")
+        assert closed == [50005000, 99990000, 49985001]
+        assert closed == route_totals(case, "recursion") == route_totals(case, "series")
+
     def test_corner_has_no_closed_route(self):
         with pytest.raises(ValueError):
             route_totals(FamilyCase("corner", 4, 0, 2), "closed")
@@ -234,6 +241,22 @@ class TestSuites:
                     verify._read_config(config)
             else:
                 verify._read_config(config)
+
+    def test_first_report_builds_a_bounded_number_of_cases(self, monkeypatch):
+        # a sweep over millions of members yields its first report without
+        # listing them: one case read with the config, one run
+        built = []
+        real = verify.FamilyCase
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+        monkeypatch.setattr(verify, "FamilyCase", counted)
+        config = {"sweeps": [{"kind": "mixed", "n": [3, 3_000_000], "t": [1, 1],
+                              "routes": ["closed", "recursion"]}]}
+        report = next(run_config(config))
+        assert report.ok and report.case.startswith("mixed(n=3,s=0,t=1)")
+        assert len(built) <= 2
 
     def test_config_edited_after_the_call_runs_as_read(self):
         # the plan is read at the call: neither an in-place edit of a list
