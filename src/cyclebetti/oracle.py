@@ -426,18 +426,22 @@ class BettiTable:
         return isinstance(other, BettiTable) and self.entries == other.entries
 
 
+def _check_support(columns: int) -> None:
+    """LatticeCapError past MAX_SUPPORT columns, whose bits overflow an int64."""
+    if columns > MAX_SUPPORT:
+        raise LatticeCapError(f"lcm lattice point has a support of {columns} variables, "
+                              f"past the oracle's limit of {MAX_SUPPORT}")
+
+
 def _facet_masks(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     """(points, generators) int64 array: the facet {v : g_v < b_v}, bit v
     for column v, where g divides b, else -1.
 
     Built one column at a time, so no (points, generators, columns) array
-    is ever allocated.  Callers pass only the columns facets are built on:
-    past MAX_SUPPORT, whose bits overflow an int64, raises LatticeCapError.
+    is ever allocated.  Callers pass only the columns facets are built on,
+    at most MAX_SUPPORT of them (`_check_support`).
     """
-    columns = gens.shape[1]
-    if columns > MAX_SUPPORT:
-        raise LatticeCapError(f"lcm lattice point has a support of {columns} variables, "
-                              f"past the oracle's limit of {MAX_SUPPORT}")
+    _check_support(gens.shape[1])
     masks = np.zeros((len(points), len(gens)), dtype=np.int64)
     divides = np.ones(masks.shape, dtype=bool)
     strict = np.empty(masks.shape, dtype=bool)
@@ -558,6 +562,7 @@ def graded_betti(ideal: MonomialIdeal, p: int = DEFAULT_PRIME,
     _check_nontrivial(ideal)
     gens = ideal.matrix()
     gens = gens[:, gens.any(axis=0)]
+    _check_support(gens.shape[1])  # the top lattice point's, before the lattice is built
     _, points, orbit_sizes = _lattice_orbits(gens, _symmetries(gens), cap)
     dims_by_pattern: dict[tuple[int, ...], list[int]] = {}
     entries: dict[tuple[int, int], int] = {}

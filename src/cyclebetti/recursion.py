@@ -36,11 +36,12 @@ values.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from functools import cache
 
 from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
-from .formulas import long_power_seq, seq_entry, short_path_betti, short_path_seq
+from .formulas import long_power_seq, seq_entry
 
 Seq = tuple[int, ...]
 
@@ -100,11 +101,12 @@ def _widening(packed_at):
 
 
 def clear_caches() -> None:
-    """Drop every cache of the recursion and closed routes (results must be
-    unaffected)."""
-    for value in list(globals().values()):
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    """Drop every cache of this module and of formulas, the module of the
+    t = 0 leaf long_power_seq (results must be unaffected)."""
+    for module in (__name__, long_power_seq.__module__):
+        for value in list(vars(sys.modules[module]).values()):
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +299,9 @@ def short_path_pd_rec(n: int, s: int, t: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Residuals of the self-recurrences.  Each returns (left side) - (right side)
-# of the corresponding recurrence; the contract is 0.  route selects whether
-# the terms are evaluated through the chain recursion or the closed form.
+# of the corresponding recurrence; the contract is 0.  f is the mixed-family
+# entry function f(n, s, t, i) checked: mixed_rec or formulas.short_path_betti.
 # ---------------------------------------------------------------------------
-
-def _route(route: str):
-    if route == "recursion":
-        return mixed_rec
-    if route == "closed":
-        return short_path_betti
-    raise ValueError(f"unknown route {route!r} (expected 'recursion' or 'closed')")
-
 
 def _lift(f, power: int):
     """Entry i of (1+z)^power times the sequence of f, one entry at a time.
@@ -323,11 +317,10 @@ def _lift(f, power: int):
     return lifted
 
 
-def shift_residual(n: int, s: int, i: int, route: str = "recursion") -> int:
+def shift_residual(f, n: int, s: int, i: int) -> int:
     """Residual of the t = 1 recurrence stepping s to s+1 (hypotheses n >= 4, s >= 0)."""
     if n < 4 or s < 0:
         raise ValueError("hypotheses need n >= 4 and s >= 0")
-    f = _route(route)
     tilde, dbl = _lift(f, 1), _lift(f, 2)
     lhs = f(n, s + 1, 1, i)
     rhs = (f(n, s, 1, i)
@@ -338,11 +331,10 @@ def shift_residual(n: int, s: int, i: int, route: str = "recursion") -> int:
     return lhs - rhs
 
 
-def exchange_residual(n: int, s: int, t: int, i: int, route: str = "recursion") -> int:
+def exchange_residual(f, n: int, s: int, t: int, i: int) -> int:
     """Residual of the recurrence exchanging (s, t) with (s+1, t-1) (needs t >= 2)."""
     if n < 4 or s < 0 or t < 2:
         raise ValueError("hypotheses need n >= 4, s >= 0 and t >= 2")
-    f = _route(route)
     dbl = _lift(f, 2)
     lhs = f(n, s, t, i) - f(n, s + 1, t - 1, i)
     if s <= t:

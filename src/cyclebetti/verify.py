@@ -311,9 +311,14 @@ def suite_short_path_oracle(cap: int, seed: int) -> Iterator[Report]:
     return cross_validate(cases, ["closed", "oracle"], cap=cap)
 
 
+def _mixed_entries() -> dict:
+    """Route name -> mixed-family entry function f(n, s, t, i), read per call."""
+    return {"recursion": recursion.mixed_rec, "closed": formulas.short_path_betti}
+
+
 def suite_main_identity(cap: int, seed: int) -> Iterator[Report]:
     n_max, st_max = 12, 8
-    routes = {"recursion": recursion.mixed_rec, "closed": formulas.short_path_betti}
+    routes = _mixed_entries()
     for n in range(2, n_max + 1):
         points = ((n, s, t, i) for s in range(st_max + 1) for t in range(st_max + 1)
                   for i in range(2 * (s + t) + 3))
@@ -382,20 +387,21 @@ def suite_residuals(cap: int, seed: int) -> Iterator[Report]:
         return _agreement(name, (draw() for _ in range(RESIDUAL_SAMPLES)),
                           {"residual": evaluate, "zero": lambda *point: 0})
 
+    entries = _mixed_entries()
     yield sweep("shift residual, recursion route",
           lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)),
-          lambda n, s, i: recursion.shift_residual(n, s, i, "recursion"))
+          functools.partial(recursion.shift_residual, entries["recursion"]))
     yield sweep("exchange residual, recursion route",
           lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(2, 8),
                    rng.randint(0, 24)),
-          lambda n, s, t, i: recursion.exchange_residual(n, s, t, i, "recursion"))
+          functools.partial(recursion.exchange_residual, entries["recursion"]))
     yield sweep("shift residual, closed route",
           lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(0, 24)),
-          lambda n, s, i: recursion.shift_residual(n, s, i, "closed"))
+          functools.partial(recursion.shift_residual, entries["closed"]))
     yield sweep("exchange residual, closed route",
           lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(2, 10),
                    rng.randint(0, 28)),
-          lambda n, s, t, i: recursion.exchange_residual(n, s, t, i, "closed"))
+          functools.partial(recursion.exchange_residual, entries["closed"]))
 
     def binomial_residuals(n, m, s):
         binom = formulas.binomial

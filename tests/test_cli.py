@@ -358,6 +358,18 @@ class TestSupportLimit:
         assert done.stderr == ("error: lcm lattice point has a support of 64 variables, "
                                "past the oracle's limit of 63\n")
 
+    def test_support_refused_before_the_lattice(self):
+        # the support is refused from the used columns alone, before the
+        # symmetries and the lattice walk, whose dense images of 600 columns
+        # would run for over half a minute
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-m", "cyclebetti", "table", "Jc(600,599)",
+                               "--route", "oracle"],
+                              env=env, capture_output=True, text=True, timeout=20)
+        assert done.returncode == 3 and done.stdout == ""
+        assert done.stderr == ("error: lcm lattice point has a support of 600 variables, "
+                               "past the oracle's limit of 63\n")
+
     def test_unused_variables_cost_nothing(self):
         # the oracle ranks only the columns some generator uses: one of a million
         env = {**os.environ, "PYTHONPATH": str(SRC)}

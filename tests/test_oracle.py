@@ -203,6 +203,15 @@ class TestUpperKoszul:
             upper_koszul(I, Monomial((1,) * 64))
         assert upper_koszul(I, I.gens[0]).faces == {-1: [()]}
 
+    @pytest.mark.parametrize("expr", ["Jc(64,63)", "J(64)^2"])
+    def test_support_refused_before_the_lattice(self, monkeypatch, expr):
+        called = []
+        for name in ("_lattice_orbits", "_symmetries"):
+            monkeypatch.setattr(oracle, name, lambda *args, name=name: called.append(name))
+        with pytest.raises(LatticeCapError, match="support of 64 variables"):
+            graded_betti(build_ideal(expr))
+        assert called == []
+
     def test_downward_closed(self):
         cx = upper_koszul(long_path_ideal(4) ** 2, Monomial((2, 2, 1, 1)))
         all_faces = {f for fs in cx.faces.values() for f in fs}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclebetti import recursion
+from cyclebetti import formulas, recursion
 from cyclebetti.families import (corner_chain_pairs, corner_power,
                                  mixed_chain_pairs, mixed_power,
                                  support_envelope)
@@ -260,26 +260,26 @@ class TestComposedSupport:
 
 class TestResiduals:
     def test_examples(self):
-        assert shift_residual(4, 0, 1, "recursion") == 0
-        assert exchange_residual(5, 3, 2, 4, "closed") == 0
+        assert shift_residual(mixed_rec, 4, 0, 1) == 0
+        assert exchange_residual(short_path_betti, 5, 3, 2, 4) == 0
 
     def test_hypothesis_enforced(self):
         with pytest.raises(ValueError):
-            exchange_residual(5, 1, 1, 2)
+            exchange_residual(mixed_rec, 5, 1, 1, 2)
         with pytest.raises(ValueError):
-            shift_residual(3, 0, 1)
+            shift_residual(mixed_rec, 3, 0, 1)
 
     def test_seeded_sweeps(self):
         rng = random.Random(101)
         for _ in range(120):
             n, s, i = rng.randint(4, 10), rng.randint(0, 5), rng.randint(0, 14)
-            assert shift_residual(n, s, i, "recursion") == 0
-            assert shift_residual(n + 2, s + 3, i, "closed") == 0
+            assert shift_residual(mixed_rec, n, s, i) == 0
+            assert shift_residual(short_path_betti, n + 2, s + 3, i) == 0
         for _ in range(120):
             n, s, t, i = (rng.randint(4, 10), rng.randint(0, 5),
                           rng.randint(2, 6), rng.randint(0, 18))
-            assert exchange_residual(n, s, t, i, "recursion") == 0
-            assert exchange_residual(n + 2, s + 3, t, i, "closed") == 0
+            assert exchange_residual(mixed_rec, n, s, t, i) == 0
+            assert exchange_residual(short_path_betti, n + 2, s + 3, t, i) == 0
 
 
 class TestPdRecursion:
@@ -324,8 +324,20 @@ class TestCacheHygiene:
         short_path_pd_rec(9, 2, 3)
         memos = {name: value for name, value in vars(recursion).items()
                  if hasattr(value, "cache_clear")}
+        memos["short_path_seq"] = formulas.short_path_seq
         assert {"_chain_step", "_chain_seq", "_long_path_seq", "short_path_seq",
                 "short_path_pd_rec"} <= set(memos)
+        assert all(memo.cache_info().currsize > 0 for memo in memos.values())
+        clear_caches()
+        assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \
+            dict.fromkeys(memos, 0)
+
+    def test_clear_caches_empties_every_formulas_memo(self):
+        short_path_betti(9, 2, 3, 1)
+        long_path_betti(9, 3, 1)
+        memos = {name: value for name, value in vars(formulas).items()
+                 if hasattr(value, "cache_clear")}
+        assert {"long_power_seq", "short_path_seq"} <= set(memos)
         assert all(memo.cache_info().currsize > 0 for memo in memos.values())
         clear_caches()
         assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \

@@ -173,12 +173,12 @@ class TestAgreement:
         real = recursion.shift_residual
         drawn = []
 
-        def off_at_the_third_draw(n, s, i, route="recursion"):
-            if route == "recursion":
+        def off_at_the_third_draw(f, n, s, i):
+            if f is recursion.mixed_rec:
                 drawn.append((n, s, i))
                 if len(drawn) >= 3 and (n, s, i) == drawn[2]:
                     return 1
-            return real(n, s, i, route)
+            return real(f, n, s, i)
         monkeypatch.setattr(recursion, "shift_residual", off_at_the_third_draw)
         first = next(run_suite("residuals"))
         assert first.case == "shift residual, recursion route"
