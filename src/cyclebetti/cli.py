@@ -20,7 +20,7 @@ the ideal generated by the listed variables, and a parenthesized monomial
 list a literal generating set: ``()`` is the zero ideal, ``(1)`` the unit
 ideal, and build_ideal(str(I)).embed(I.ambient) == I for every ideal I.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
-3 resource cap exceeded.
+3 resource cap exceeded or out of memory.
 """
 from __future__ import annotations
 
@@ -487,12 +487,12 @@ def _cmd_split(args) -> int:
     nodes = [parse_ideal(text) for text in (args.total, args.left, args.right)]
     ambient = resolve_ambient(*nodes)
     total, left, right = (_oracle_ideal(node, ambient) for node in nodes)
-    if total != left + right:
-        raise ParseError("not a decomposition: the first ideal must equal "
-                         "the sum of the other two")
-    report = verify.check_splitting(
-        total, left, right, args.char, args.lattice_cap,
-        label=f"split {args.total!r} = {args.left!r} + {args.right!r}")
+    try:
+        report = verify.check_splitting(
+            total, left, right, args.char, args.lattice_cap,
+            label=f"split {args.total!r} = {args.left!r} + {args.right!r}")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     print(report.to_json())
     return 0 if report.ok else 1
 
@@ -618,6 +618,10 @@ def main(argv=None) -> int:
         code = 2
     except (LatticeCapError, CandidateCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = 3
+    except MemoryError:
+        # numpy's allocation error is a subclass; exit 1 would read as a mismatch
+        print("error: out of memory", file=sys.stderr)
         code = 3
     except BrokenPipeError:
         # the reader closed the pipe (`verify all | head -1`): send what is

@@ -1,9 +1,9 @@
 """Cross-route validation: splitting audits and formula/recursion/oracle sweeps.
 
-Every comparison is exact integer equality; there are no tolerances
-anywhere.  Results stream as Report records, each yielded as soon as its
-case finishes, that serialize to JSON lines, one per line, schema
-{case, status, witness?, millis, route_millis?}.
+Every comparison is exact equality; there are no tolerances anywhere.
+Results stream as Report records, each yielded as soon as its case
+finishes, that serialize to JSON lines, one per line, schema
+{case, status, witness?: {at, routes, values}, millis, route_millis?}.
 """
 from __future__ import annotations
 
@@ -12,10 +12,10 @@ import json
 import random
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import families, formulas, recursion
-from .monomials import Monomial, MonomialIdeal, variable
+from .monomials import MonomialIdeal, variable
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
                      check_prime, graded_betti)
 
@@ -34,13 +34,9 @@ class Report:
         return self.status != "mismatch"
 
     def to_json(self) -> str:
-        payload: dict = {"case": self.case, "status": self.status}
-        if self.witness is not None:
-            payload["witness"] = self.witness
-        payload["millis"] = self.millis
-        if self.route_millis is not None:
-            payload["route_millis"] = self.route_millis
-        return json.dumps(payload)
+        """The fields in declaration order, leaving out the unset ones."""
+        return json.dumps({name: value for name, value in asdict(self).items()
+                           if value is not None})
 
 
 def _timed(case: str, check) -> Report:
@@ -215,17 +211,15 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
 
 
 def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
-    """Single-row linearity plus pd/reg against the closed formulas."""
+    """Single-row linearity plus pd/reg against the closed formulas; a corner
+    case has no closed pd/reg, so only its rows are audited."""
     def compute():
         table = oracle_table(case.ideal(), char, cap)
-        degree = case.initial_degree()
-        if table.rows() != [degree]:
-            return {"aspect": "linearity", "rows": table.rows(), "expected_row": degree}
-        closed = case.closed_pd_reg()
-        if closed is not None and (table.pd(), table.reg()) != closed:
-            return {"aspect": "pd/reg", "oracle": [table.pd(), table.reg()],
-                    "closed": list(closed)}
-        return None
+        closed = {"rows": [case.initial_degree()],
+                  **dict(zip(("pd", "reg"), case.closed_pd_reg() or ()))}
+        oracle = {"rows": table.rows(), "pd": table.pd(), "reg": table.reg()}
+        return _disagreement([(at,) for at in closed],
+                             {"oracle": oracle.get, "closed": closed.get})
 
     return _timed(f"{case.label()} oracle(p={char}) audit", compute)
 
@@ -242,26 +236,18 @@ def check_splitting(total: MonomialIdeal, left: MonomialIdeal, right: MonomialId
     The report's case is label followed by the characteristic.
     """
     if total != left + right:
-        raise ValueError("not a decomposition: total != left + right")
+        raise ValueError("not a decomposition: the first ideal must equal "
+                         "the sum of the other two")
 
     def compute():
-        tp = oracle_table(total, char, cap)
-        tl = oracle_table(left, char, cap)
-        tr = oracle_table(right, char, cap)
-        tm = oracle_table(left & right, char, cap)
+        tp, tl, tr, tm = (oracle_table(ideal, char, cap)
+                          for ideal in (total, left, right, left & right))
         top = max(tp.pd(), tl.pd(), tr.pd(), tm.pd() + 1)
-        for i in range(top + 1):
-            want = tl.total(i) + tr.total(i) + (tm.total(i - 1) if i >= 1 else 0)
-            got = tp.total(i)
-            if got != want:
-                return {"i": i, "values": [str(got), str(want)]}
-        if tp.pd() != max(tl.pd(), tr.pd(), tm.pd() + 1):
-            return {"aspect": "pd", "values":
-                    [tp.pd(), max(tl.pd(), tr.pd(), tm.pd() + 1)]}
-        if tp.reg() != max(tl.reg(), tr.reg(), tm.reg() - 1):
-            return {"aspect": "reg", "values":
-                    [tp.reg(), max(tl.reg(), tr.reg(), tm.reg() - 1)]}
-        return None
+        split = {i: tl.total(i) + tr.total(i) + tm.total(i - 1) for i in range(top + 1)}
+        split.update(pd=max(tl.pd(), tr.pd(), tm.pd() + 1),
+                     reg=max(tl.reg(), tr.reg(), tm.reg() - 1))
+        whole = {i: tp.total(i) for i in range(top + 1)} | {"pd": tp.pd(), "reg": tp.reg()}
+        return _disagreement([(at,) for at in split], {"total": whole.get, "split": split.get})
 
     return _timed(f"{label} (p={char})", compute)
 
@@ -285,20 +271,17 @@ SHORT_DESK_SET = ((4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2), (7, 1))
 
 def suite_example_row(cap: int, seed: int) -> Iterator[Report]:
     n, t = EXAMPLE_ROW_N, EXAMPLE_ROW_T
+    # the pd and reg, then the totals and the entry past the pd, which vanishes
+    pinned = dict(zip(["pd", "reg", *range(len(EXAMPLE_ROW_TOTALS) + 1)],
+                      [*EXAMPLE_ROW_PD_REG, *EXAMPLE_ROW_TOTALS, 0]))
 
-    def compute():
-        pd, reg = formulas.short_path_pd_reg(n, 0, t)
-        if (pd, reg) != EXAMPLE_ROW_PD_REG:
-            return {"aspect": "pd/reg", "values": [[pd, reg], list(EXAMPLE_ROW_PD_REG)]}
-        got = tuple(formulas.short_path_betti(n, 0, t, i) for i in range(pd + 1))
-        if got != EXAMPLE_ROW_TOTALS:
-            return {"aspect": "totals", "values": [list(map(str, got)),
-                                                   list(map(str, EXAMPLE_ROW_TOTALS))]}
-        if formulas.short_path_betti(n, 0, t, pd + 1) != 0:
-            return {"aspect": "vanishing", "i": pd + 1}
-        return None
+    def closed(at):
+        if isinstance(at, int):
+            return formulas.short_path_betti(n, 0, t, at)
+        return formulas.short_path_pd_reg(n, 0, t)[("pd", "reg").index(at)]
 
-    yield _timed(f"example row short-power(n={n},t={t})", compute)
+    yield _agreement(f"example row short-power(n={n},t={t})", [(at,) for at in pinned],
+                     {"closed": closed, "pinned": pinned.get})
 
 
 def suite_long_path_oracle(cap: int, seed: int) -> Iterator[Report]:
@@ -366,11 +349,10 @@ def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
                         yield check_splitting(
                             total, piece, rest, DEFAULT_PRIME, cap,
                             label=f"{family} chain split n={n} s={s} t={t} j={j}")
-                        yield _timed(
-                            f"{family} chain intersection n={n} s={s} t={t} j={j}",
-                            lambda piece=piece, rest=rest, n=n: (
-                                None if (piece & rest) == variable(n, n) * piece
-                                else {"aspect": "intersection identity"}))
+                        yield _agreement(
+                            f"{family} chain intersection n={n} s={s} t={t} j={j}", [()],
+                            {"meet": lambda piece=piece, rest=rest: piece & rest,
+                             "xn * piece": lambda piece=piece, n=n: variable(n, n) * piece})
 
     # (c) splitting off the first generator of the stacked reduced product,
     # reduced(n-1)^s * reduced(n)^t (families.stacked_reduced_power)
@@ -387,21 +369,17 @@ def suite_residuals(cap: int, seed: int) -> Iterator[Report]:
         return _agreement(name, (draw() for _ in range(RESIDUAL_SAMPLES)),
                           {"residual": evaluate, "zero": lambda *point: 0})
 
-    entries = _mixed_entries()
-    yield sweep("shift residual, recursion route",
-          lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)),
-          functools.partial(recursion.shift_residual, entries["recursion"]))
-    yield sweep("exchange residual, recursion route",
-          lambda: (rng.randint(4, 12), rng.randint(0, 8), rng.randint(2, 8),
-                   rng.randint(0, 24)),
-          functools.partial(recursion.exchange_residual, entries["recursion"]))
-    yield sweep("shift residual, closed route",
-          lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(0, 24)),
-          functools.partial(recursion.shift_residual, entries["closed"]))
-    yield sweep("exchange residual, closed route",
-          lambda: (rng.randint(4, 16), rng.randint(0, 10), rng.randint(2, 10),
-                   rng.randint(0, 28)),
-          functools.partial(recursion.exchange_residual, entries["closed"]))
+    # n, s and i are the bounds of the draws; exchange draws t up to s and i up to i + 4
+    for route, (n, s, i) in (("recursion", (12, 8, 20)), ("closed", (16, 10, 24))):
+        entry = _mixed_entries()[route]
+        yield sweep(f"shift residual, {route} route",
+                    lambda n=n, s=s, i=i: (rng.randint(4, n), rng.randint(0, s),
+                                           rng.randint(0, i)),
+                    functools.partial(recursion.shift_residual, entry))
+        yield sweep(f"exchange residual, {route} route",
+                    lambda n=n, s=s, i=i: (rng.randint(4, n), rng.randint(0, s),
+                                           rng.randint(2, s), rng.randint(0, i + 4)),
+                    functools.partial(recursion.exchange_residual, entry))
 
     def binomial_residuals(n, m, s):
         binom = formulas.binomial
@@ -425,27 +403,19 @@ def suite_delta_edge(cap: int, seed: int) -> Iterator[Report]:
     is a tested statement rather than a silent patch."""
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
-
-    def compute(strict):
-        # the strict (closed-form) multiset must over-count by exactly one
-        got = recursion.corner_rec(n, 0, t, 0, strict_delta=strict)
-        want = oracle_table(corner, DEFAULT_PRIME, cap).total(0)
-        return None if want == t + 1 and got == want + strict else \
-            {"values": [str(got), str(want)]}
-
-    yield _timed(f"delta edge default corner(n={n},t={t})", lambda: compute(False))
-    yield _timed(f"delta edge strict over-counts corner(n={n},t={t})", lambda: compute(True))
+    # beta_0 counts the t + 1 generators; the strict multiset over-counts it by one
+    for strict, name in ((False, "default"), (True, "strict over-counts")):
+        yield _agreement(
+            f"delta edge {name} corner(n={n},t={t})", [(n, 0, t, 0)],
+            {"recursion": functools.partial(recursion.corner_rec, strict_delta=strict),
+             "oracle": lambda n, s, t, i, strict=strict:
+                 oracle_table(corner, DEFAULT_PRIME, cap).total(i) + strict,
+             "generators": lambda n, s, t, i, strict=strict: t + 1 + strict})
 
 
 def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
-    def containment():
-        for s in range(9):
-            for t in range(1, 9):
-                envelope = families.support_envelope(s, t)
-                stray = set(recursion.composed_support(s, t)) - envelope
-                if stray:
-                    return {"s": s, "t": t, "outside": sorted(stray)[:3]}
-        return None
+    def outside(s, t):
+        return sorted(set(recursion.composed_support(s, t)) - families.support_envelope(s, t))
 
     def multiplicity(s, t):
         return recursion.composed_support(s, t)[(s + t - 2, 1)]
@@ -457,7 +427,9 @@ def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
     yield _agreement("composed support multiplicity at (s+t-2, 1)",
                      ((total - t, t) for total in range(2, 13) for t in range(1, total + 1)),
                      {"multiplicity": multiplicity, "one": lambda s, t: 1})
-    yield _timed("composed support inside envelope", containment)
+    yield _agreement("composed support inside envelope",
+                     ((s, t) for s in range(9) for t in range(1, 9)),
+                     {"outside envelope": outside, "none": lambda s, t: []})
     yield _agreement("pd recursion == closed == support",
                      ((n, total - t, t) for n in range(2, 13) for total in range(1, 9)
                       for t in range(1, total + 1)),

@@ -10,7 +10,7 @@ import pytest
 
 import cyclebetti
 
-from cyclebetti import verify
+from cyclebetti import cli, verify
 from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
                             ReducedAtom, ShortAtom, VarsAtom, _tokenize, build_ideal,
                             classify_family, emit_betti_table, evaluate, main,
@@ -391,6 +391,16 @@ class TestCandidateCapCommand:
         assert "candidate generators" in line and "cap of 1000000" in line
 
 
+class TestOutOfMemory:
+    def test_exit_code_and_one_line(self, capsys, monkeypatch):
+        # exit 1 would read as a verification mismatch
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "route_totals", exhausted)
+        code, out, err = run_cli(capsys, "table", "Jc(5,3)^2", "--route", "recursion")
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
+
 class TestPdCommand:
     @pytest.mark.parametrize("route", ["closed", "recursive", "oracle"])
     def test_routes_agree(self, capsys, route):
@@ -466,7 +476,8 @@ class TestSplitCommand:
         code, out, _ = run_cli(capsys, "split", "(x1^2, x1*x2, x2^2)",
                                "(x1^2, x2^2)", "(x1*x2)")
         assert code == 1
-        assert json.loads(out)["witness"] == {"i": 1, "values": ["2", "3"]}
+        assert json.loads(out)["witness"] == {"at": [1], "routes": ["total", "split"],
+                                              "values": ["2", "3"]}
 
     def test_not_a_decomposition(self, capsys):
         code, _, err = run_cli(capsys, "split", "m(x1)", "m(x1)", "m(x2)")

@@ -56,7 +56,8 @@ class TestCheckSplitting:
         report = check_splitting(ideal((2, 0), (1, 1), (0, 2)),
                                  ideal((2, 0), (0, 2)), ideal((1, 1)), label="m^2")
         assert not report.ok
-        assert report.witness == {"i": 1, "values": ["2", "3"]}
+        assert report.witness == {"at": [1], "routes": ["total", "split"],
+                                  "values": ["2", "3"]}
 
     def test_mismatch_reproducible(self):
         runs = [check_splitting(ideal((2, 0), (1, 1), (0, 2)),
@@ -189,6 +190,79 @@ class TestAgreement:
         samples = [[rng.randint(4, 12), rng.randint(0, 8), rng.randint(0, 20)]
                    for _ in range(3)]
         assert first.witness["at"] == samples[2]
+
+
+def _example_row_pd_off(monkeypatch):
+    real = formulas.short_path_pd_reg
+    monkeypatch.setattr(formulas, "short_path_pd_reg",
+                        lambda n, s, t: (real(n, s, t)[0] + 1, real(n, s, t)[1]))
+    return run_suite("example-row")
+
+
+def _long_path_audit_pd_off(monkeypatch):
+    # the audits read the oracle's table from the cache; start them cold
+    verify.clear_oracle_cache()
+    real = formulas.long_path_pd_reg
+    monkeypatch.setattr(formulas, "long_path_pd_reg",
+                        lambda n, t: (real(n, t)[0] + 1, real(n, t)[1]))
+    return run_suite("long-path-oracle")
+
+
+def _m2_non_splitting(monkeypatch):
+    return [check_splitting(ideal((2, 0), (1, 1), (0, 2)), ideal((2, 0), (0, 2)),
+                            ideal((1, 1)), label="m^2")]
+
+
+def _delta_edge_off(monkeypatch):
+    real = recursion.corner_rec
+    monkeypatch.setattr(recursion, "corner_rec", lambda *args, **kwargs:
+                        real(*args, **kwargs) + 1)
+    return run_suite("delta-edge")
+
+
+def _chain_intersection_off(monkeypatch):
+    # the first-generator splits build their parts with verify.variable, so
+    # it is patched only once they are done; the chain checks read it per call
+    reports = run_suite("splittings")
+    for report in reports:
+        if " chain " in report.case:
+            break
+    real = verify.variable
+    monkeypatch.setattr(verify, "variable", lambda i, n: real(1, n))
+    return reports
+
+
+def _envelope_empty(monkeypatch):
+    monkeypatch.setattr(verify.families, "support_envelope", lambda s, t: set())
+    return run_suite("support-facts")
+
+
+class TestOneWitnessShape:
+    """Each check, made to mismatch by patching one subject, names its first
+    disagreement as {at, routes, values}."""
+
+    @pytest.mark.parametrize("mismatch, case, at, routes", [
+        (_example_row_pd_off, "example row short-power(n=27,t=4)", ["pd"],
+         ["closed", "pinned"]),
+        (_long_path_audit_pd_off, "long-power(n=3,t=1) oracle(p=2) audit", ["pd"],
+         ["oracle", "closed"]),
+        (_m2_non_splitting, "m^2 (p=32003)", [1], ["total", "split"]),
+        (_delta_edge_off, "delta edge default corner(n=4,t=2)", [4, 0, 2, 0],
+         ["recursion", "oracle", "generators"]),
+        (_chain_intersection_off, "mixed chain intersection n=4 s=0 t=1 j=0", [],
+         ["meet", "xn * piece"]),
+        (_envelope_empty, "composed support inside envelope", [0, 1],
+         ["outside envelope", "none"]),
+    ], ids=["example-row", "oracle-audit", "splitting", "delta-edge", "chain-intersection",
+            "containment"])
+    def test_first_mismatch(self, monkeypatch, mismatch, case, at, routes):
+        report = next(r for r in mismatch(monkeypatch) if not r.ok)
+        assert report.case == case
+        assert set(report.witness) == {"at", "routes", "values"}
+        assert report.witness["at"] == at
+        assert report.witness["routes"] == routes
+        assert len(report.witness["values"]) == len(routes)
+        assert len(set(report.witness["values"])) > 1
 
 
 class TestSuites:
