@@ -16,7 +16,8 @@ sum stays below 2^W, so no carry crosses a field and the packed sum is the
 entry-wise sum exactly.  One AND with the guard mask re-checks the
 invariant after each step.  When it fails, or a leaf entry is too large,
 the whole requested sequence is recomputed at width 2W, starting at
-W = 64; no value computed at one width is read at another.  Nothing is
+W = 64; no value computed at one width is read at another, and each width
+keeps its own memo.  Nothing is
 subtracted, so a negative entry can enter only through a leaf, and packing
 refuses it there.
 
@@ -25,8 +26,12 @@ long(n-1)^s * long(n)^t from the splitting off the first generator; it runs
 bottom-up over n in a plain loop.  The mixed/corner recursion is mutual:
 each mixed-chain step contributes corner families one cycle size down, and
 each corner-chain step mixed families one size down, until t = 0, where
-reduced(n)^s is formulas.long_power_seq(n-1, s).  The members it needs are
-listed size by size first and evaluated from the smallest size up, so
+reduced(n)^s is formulas.long_power_seq(n-1, s).  Its memo holds the packed
+sequence of every member evaluated so far, one memo per field width and
+corner multiset, so a member is evaluated once per width however many
+requests reach it.  A request first lists, size by size from its own down,
+only the members that width's memo lacks: the descent stops at each member
+the memo holds.  It then evaluates them from the smallest size up, so
 neither recursion's Python stack grows with n.
 
 long_path_rec, mixed_rec and corner_rec are index lookups into the cached
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache
 
 from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
@@ -189,43 +194,65 @@ def _chain_terms(which: str, s: int, t: int, strict: bool):
 
 
 @cache
-def _chain_step(which: str, n: int, s: int, t: int, strict: bool, width: int) -> int:
-    """One step of the mutual recursion, packed in fields of width bits.
-    The members one size down come from this cache; _chain_seq fills it
-    bottom-up so the stack stays flat."""
+def _chain_memo(width: int, strict: bool) -> defaultdict[int, dict]:
+    """The mutual recursion's memo at one field width: cycle size n ->
+    {(family, s, t): packed sequence}.  A cached factory, so clear_caches
+    drops every width's memo with the other caches."""
+    return defaultdict(dict)
+
+
+def _chain_step(below: dict, n: int, member: tuple[str, int, int], strict: bool,
+                width: int) -> int:
+    """One step of the mutual recursion at cycle size n, packed in fields of
+    width bits.  below is the memo of size n - 1, where _chain_seq put every
+    member this step sums before calling it."""
+    which, s, t = member
     if s < 0 or t < 0:
         return 0
     if n == 2:  # mixed: the unit ideal; corner: (x1,x2)^t
         return _pack((1,) if which == "mixed" else (t + 1, t), width, which, n, s, t)
     if t == 0:  # reduced(n)^s: the long-path closed form one size down
         return _pack(long_power_seq(n - 1, s), width, which, n, s, t)
-    (hw, ha, hb), pairs = _chain_terms(which, s, t, strict)
+    head, pairs = _chain_terms(which, s, t, strict)
     if 2 * len(pairs) + 1 >= 1 << width // 8:  # the sum could carry past the guards
         raise _FieldOverflow
-    acc = sum([_chain_step(w, n - 1, a, b, strict, width) for w, a, b in pairs])
-    return _guarded(_chain_step(hw, n - 1, ha, hb, strict, width) + acc + (acc << width),
-                    width)
+    acc = sum(map(below.__getitem__, pairs))
+    return _guarded(below[head] + acc + (acc << width), width)
+
+
+def _missing(which: str, n: int, s: int, t: int, strict: bool,
+             memo: defaultdict) -> list[set]:
+    """The members that (which, n, s, t) needs and memo lacks, one set of
+    (family, s, t) per size from n down.  Only a missing member's summands
+    are looked up, so the descent stops at every member memo holds."""
+    levels = []
+    members = {_member(which, s, t)}
+    for size in range(n, 1, -1):
+        members = members.difference(memo[size])
+        if not members:
+            break
+        levels.append(members)
+        below = set()
+        if size > 2:
+            for w, a, b in members:
+                if a >= 0 and b > 0:
+                    head, pairs = _chain_terms(w, a, b, strict)
+                    below.add(head)
+                    below.update(pairs)
+        members = below
+    return levels
 
 
 @cache
 def _chain_seq(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
-    levels = [{(which, s, t)}]  # members needed at sizes n, n-1, ...
-    for _ in range(n, 2, -1):
-        below = set()
-        for w, a, b in levels[-1]:
-            if a >= 0 and b > 0:
-                head, pairs = _chain_terms(w, a, b, strict)
-                below.add(head)
-                below.update(pairs)
-        if not below:
-            break
-        levels.append(below)
-
     def packed_at(width):
+        memo = _chain_memo(width, strict)
+        levels = _missing(which, n, s, t, strict, memo)
         for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
-            for w, a, b in members:
-                _chain_step(w, size, a, b, strict, width)
-        return _chain_step(which, n, s, t, strict, width)
+            here, below = memo[size], memo[size - 1]
+            for member in members:
+                here[member] = _chain_step(below, size, member, strict, width)
+        return memo[n][which, s, t]
     return _widening(packed_at)
 
 

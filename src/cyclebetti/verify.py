@@ -165,15 +165,17 @@ def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
     or the series form over i = 0..n.  Trailing zeros are stripped.
     """
     if route == "oracle":
-        totals = oracle_table(case.ideal(), char, cap).totals()
-    else:
-        sequence = _ROUTE_TOTALS.get((case.kind, route))
-        if sequence is None:
-            if case.kind not in FAMILY_KINDS:
-                raise ValueError(f"unknown family kind {case.kind!r}")
-            raise ValueError(f"route {route!r} not applicable to {case.kind} families")
-        totals = sequence(case.n, case.s, case.t, strict_delta)
-    return list(formulas.strip_zeros(totals))
+        return _oracle_totals(case.ideal(), char, cap)
+    sequence = _ROUTE_TOTALS.get((case.kind, route))
+    if sequence is None:
+        if case.kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {case.kind!r}")
+        raise ValueError(f"route {route!r} not applicable to {case.kind} families")
+    return list(formulas.strip_zeros(sequence(case.n, case.s, case.t, strict_delta)))
+
+
+def _oracle_totals(ideal: MonomialIdeal, char: int, cap: int) -> list[int]:
+    return list(formulas.strip_zeros(oracle_table(ideal, char, cap).totals()))
 
 
 def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
@@ -183,12 +185,14 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
     The oracle route is expanded once per characteristic and additionally
     audited for single-row linearity and for pd/reg against the closed
     formulas (when the case has them).  Each comparison report carries the
-    milliseconds of every expanded route in route_millis.
+    milliseconds of every expanded route in route_millis.  A case's ideal is
+    built once, at its first oracle use, and dropped with the case.
     """
     expanded = [(route, p) for route in routes
                 for p in (chars if route == "oracle" else (DEFAULT_PRIME,))]
     joined = "/".join(route for route, _ in expanded)
     for case in cases:
+        ideal = functools.cache(case.ideal)
         route_millis = {}
 
         def compute():
@@ -196,7 +200,8 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 start = time.perf_counter()
-                totals[name] = route_totals(case, route, char=p, cap=cap)
+                totals[name] = (_oracle_totals(ideal(), p, cap) if route == "oracle"
+                                else route_totals(case, route, cap=cap))
                 route_millis[name] = int((time.perf_counter() - start) * 1000)
             return _disagreement(((i,) for i in range(max(map(len, totals.values())))),
                                  {name: functools.partial(formulas.seq_entry, seq)
@@ -207,14 +212,15 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
         yield report
         for route, p in expanded:
             if route == "oracle":
-                yield _audit_oracle(case, p, cap)
+                yield _audit_oracle(case, ideal, p, cap)
 
 
-def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
+def _audit_oracle(case: FamilyCase, ideal, char: int, cap: int) -> Report:
     """Single-row linearity plus pd/reg against the closed formulas; a corner
-    case has no closed pd/reg, so only its rows are audited."""
+    case has no closed pd/reg, so only its rows are audited.  ideal() gives
+    the case's ideal."""
     def compute():
-        table = oracle_table(case.ideal(), char, cap)
+        table = oracle_table(ideal(), char, cap)
         closed = {"rows": [case.initial_degree()],
                   **dict(zip(("pd", "reg"), case.closed_pd_reg() or ()))}
         oracle = {"rows": table.rows(), "pd": table.pd(), "reg": table.reg()}
@@ -317,7 +323,8 @@ def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
         points = ((n, t, i) for t in range(1, t_max + 1) for i in range(n + 2))
         yield _agreement(f"three-route long-power n={n} t<={t_max}", points, routes)
     for n, t in LONG_DESK_SET:
-        yield _audit_oracle(FamilyCase("long-power", n, 0, t), DEFAULT_PRIME, cap)
+        case = FamilyCase("long-power", n, 0, t)
+        yield _audit_oracle(case, case.ideal, DEFAULT_PRIME, cap)
 
 
 def suite_splittings(cap: int, seed: int) -> Iterator[Report]:

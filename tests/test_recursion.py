@@ -143,6 +143,13 @@ def ref_long_path_seq(n, s, t):
     return ref_long_path_row(row, s, t)[t]
 
 
+def ref_chain_terms(which, s, t, strict):
+    """The head and the pair members, as (family, s, t), of a step at t >= 1."""
+    if which == "mixed":
+        return ("mixed", s + t, 0), [("corner", a, b) for a, b in mixed_chain_pairs(s, t)]
+    return ("mixed", s, 0), [("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict)]
+
+
 @functools.cache
 def ref_chain_seq(which, n, s, t, strict):
     if s < 0 or t < 0:
@@ -152,14 +159,25 @@ def ref_chain_seq(which, n, s, t, strict):
     if t == 0:
         return strip_zeros(reduced_power_betti(n, s, i)
                            for i in range(reduced_power_pd_reg(n, s)[0] + 1))
-    if which == "mixed":
-        head, pairs = ("mixed", s + t, 0), [("corner", a, b) for a, b in mixed_chain_pairs(s, t)]
-    else:
-        head, pairs = ("mixed", s, 0), [("mixed", a, b)
-                                        for a, b in corner_chain_pairs(s, t, strict=strict)]
+    head, pairs = ref_chain_terms(which, s, t, strict)
     return ref_add(ref_chain_seq(head[0], n - 1, *head[1:], strict),
                    ref_one_plus_z(ref_add(*(ref_chain_seq(w, n - 1, a, b, strict)
                                             for w, a, b in pairs))))
+
+
+def ref_chain_members(which, n, s, t, strict):
+    """Every (n, family, s, t) the chain recursion of one member reaches,
+    the member itself included."""
+    seen, todo = set(), [(n, which, s, t)]
+    while todo:
+        member = todo.pop()
+        if member not in seen:
+            seen.add(member)
+            size, w, a, b = member
+            if size > 2 and a >= 0 and b > 0:
+                head, pairs = ref_chain_terms(w, a, b, strict)
+                todo.extend((size - 1, *m) for m in (head, *pairs))
+    return seen
 
 
 class TestLongPathRec:
@@ -318,6 +336,7 @@ class TestCacheHygiene:
 
     def test_clear_caches_empties_every_recursion_memo(self):
         mixed_seq(12, 3, 3)
+        mixed_seq(60, 12, 12)  # fills the 128-bit memo too
         corner_seq(12, 3, 3, strict_delta=True)
         long_path_seq(12, 2, 3)
         short_path_betti(9, 2, 3, 1)
@@ -325,12 +344,15 @@ class TestCacheHygiene:
         memos = {name: value for name, value in vars(recursion).items()
                  if hasattr(value, "cache_clear")}
         memos["short_path_seq"] = formulas.short_path_seq
-        assert {"_chain_step", "_chain_seq", "_long_path_seq", "short_path_seq",
+        assert {"_chain_memo", "_chain_seq", "_long_path_seq", "short_path_seq",
                 "short_path_pd_rec"} <= set(memos)
         assert all(memo.cache_info().currsize > 0 for memo in memos.values())
+        widths = [(64, False), (128, False), (64, True)]
+        assert all(recursion._chain_memo(*key) for key in widths)
         clear_caches()
         assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \
             dict.fromkeys(memos, 0)
+        assert all(not recursion._chain_memo(*key) for key in widths)
 
     def test_clear_caches_empties_every_formulas_memo(self):
         short_path_betti(9, 2, 3, 1)
@@ -374,6 +396,43 @@ class TestCacheHygiene:
         assert info.currsize == info.misses
         assert 0 < len(calls) <= info.misses
 
+    def test_a_request_evaluates_only_what_the_memo_lacks(self, monkeypatch):
+        listed, evaluated = [], []
+        missing, step = recursion._missing, recursion._chain_step
+
+        def listing(*args):
+            listed.append(missing(*args))
+            return listed[-1]
+
+        def stepping(below, n, member, strict, width):
+            evaluated.append((n, *member))
+            return step(below, n, member, strict, width)
+
+        clear_caches()
+        try:
+            mixed_seq(12, 8, 8)
+            memo = recursion._chain_memo(64, False)
+            held = {(size, *member) for size, level in memo.items() for member in level}
+            monkeypatch.setattr(recursion, "_missing", listing)
+            monkeypatch.setattr(recursion, "_chain_step", stepping)
+            seq = mixed_seq(13, 8, 8)
+            (levels,) = listed
+            names = {(13 - k, *member) for k, level in enumerate(levels) for member in level}
+            assert len(evaluated) == len(set(evaluated))
+            assert set(evaluated) == names == ref_chain_members("mixed", 13, 8, 8, False) - held
+            assert 0 < len(names) < len(held)
+            # a repeated request, and one for a member the memo holds, evaluate none
+            listed.clear()
+            evaluated.clear()
+            assert mixed_seq(13, 8, 8) == seq == ref_chain_seq("mixed", 13, 8, 8, False)
+            assert listed == evaluated == []
+            held_corner = next(m for m in memo[12] if m[0] == "corner" and min(m[1:]) > 0)
+            assert corner_seq(12, *held_corner[1:]) == \
+                ref_chain_seq("corner", 12, *held_corner[1:], False)
+            assert listed == [[]] and evaluated == []
+        finally:
+            clear_caches()
+
 
 class TestMainIdentity:
     def test_small_grid(self):
@@ -410,14 +469,25 @@ class TestSequenceRecursion:
             assert new(n, s, t, i, strict) == ref(n, s, t, i, strict), (kind, n, s, t, i)
 
     def test_chain_sequences_equal_tuple_reference(self):
-        for strict in (False, True):
-            for n in range(2, 31):
-                for s in range(9):
-                    for t in range(9):
-                        assert mixed_seq(n, s, t, strict) == \
-                            ref_chain_seq("mixed", n, s, t, strict), (n, s, t, strict)
-                        assert corner_seq(n, s, t, strict) == \
-                            ref_chain_seq("corner", n, s, t, strict), (n, s, t, strict)
+        # every request order, each from cold memos, gives the same sequences
+        requests = [(which, n, s, t, strict) for strict in (False, True)
+                    for n in range(2, 31) for s in range(9) for t in range(9)
+                    for which in ("mixed", "corner")]
+        shuffled = random.Random(2026).sample(requests, len(requests))
+        sequences = {"mixed": mixed_seq, "corner": corner_seq}
+        for order in (requests, requests[::-1], shuffled):
+            # entries of 84 bits: this one fills part of the 64-bit memo
+            # before it overflows, then is recomputed at 128-bit fields
+            order = order[:len(order) // 2] + [("mixed", 58, 12, 12, False)] + \
+                order[len(order) // 2:]
+            clear_caches()
+            try:
+                for which, n, s, t, strict in order:
+                    assert sequences[which](n, s, t, strict) == \
+                        ref_chain_seq(which, n, s, t, strict), (which, n, s, t, strict)
+                assert recursion._chain_memo(128, False)
+            finally:
+                clear_caches()
 
     def test_long_path_sequences_equal_tuple_reference(self):
         for n in range(2, 41):

@@ -124,6 +124,19 @@ class TestCrossValidate:
             ["closed", "recursion", "oracle(p=2)", "oracle(p=32003)"], [], []]
         assert all(type(ms) is int and ms >= 0 for ms in reports[0].route_millis.values())
 
+    def test_each_case_builds_its_ideal_once(self, monkeypatch):
+        # two characteristics, each compared and audited, share one build per case
+        built = []
+        real = FamilyCase.ideal
+
+        def counted(case):
+            built.append(case)
+            return real(case)
+        monkeypatch.setattr(FamilyCase, "ideal", counted)
+        reports = list(run_suite("long-path-oracle"))
+        assert len(reports) == 11 * 3 and all(r.ok for r in reports)
+        assert len(built) == len(set(built)) == len(verify.LONG_DESK_SET) == 11
+
     def test_yields_before_the_next_case(self, monkeypatch):
         # the first case's reports arrive before the second case is computed
         seen = []
