@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Commands:
-  table <expr> --route oracle|formula|recursion [--char P] [--format text|json|csv]
-  pd <expr> --route closed|recursive|oracle
-  gf --n N --t T --imax K
+  table <expr> --route closed|recursion|series|oracle [--char P] [--format text|json|csv]
+  pd <expr> --route closed|recursion|series|oracle
   split <P-expr> <I-expr> <J-expr> [--char P]
   verify <suite-name|config.json>
 
@@ -19,6 +18,7 @@ ideal of the n-cycle, I(n)/J(n) the full/reduced short-path ideals, m(...)
 the ideal generated by the listed variables, and a parenthesized monomial
 list a literal generating set: ``()`` is the zero ideal, ``(1)`` the unit
 ideal, and build_ideal(str(I)).embed(I.ambient) == I for every ideal I.
+Routes are those of verify.ROUTES, with the aliases formula and recursive.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 resource cap exceeded or out of memory.
 """
@@ -31,7 +31,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import families, formulas, recursion, verify
+from . import families, verify
 from .monomials import CandidateCapError, Monomial, MonomialIdeal, variable
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
                      LatticeCapError, check_prime, graded_betti)
@@ -420,14 +420,18 @@ def _oracle_ideal(node, ambient: int) -> MonomialIdeal:
 
 
 def _family_case(node, ambient: int, route: str) -> FamilyCase:
-    """The family member the closed and recursive routes answer for."""
+    """The family member a route other than the oracle answers for."""
     case = classify_family(node, ambient)
     if case is None:
         raise ParseError(
-            f"--route {route} only covers long-power, reduced^s*full^t "
+            f"route {route!r} only covers long-power, reduced^s*full^t "
             "and reduced^s*m(x1,xn)^t expressions; use --route oracle")
     if case.is_unit():
         raise ParseError("the unit ideal has no Betti table or pd")
+    try:
+        verify.check_route(case.kind, route)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return case
 
 
@@ -442,12 +446,7 @@ def _cmd_table(args) -> int:
     if case is None:
         table = graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap)
     else:
-        if case.kind == "corner" and args.route == "formula":
-            raise ParseError(
-                "no closed formula for corner families; "
-                "use --route recursion or --route oracle")
-        route = "closed" if args.route == "formula" else "recursion"
-        totals = route_totals(case, route, strict_delta=args.strict_delta)
+        totals = route_totals(case, args.route, strict_delta=args.strict_delta)
         table = BettiTable.from_totals(totals, case.initial_degree(), ambient)
     print(emit_betti_table(table, args.format))
     return 0
@@ -457,29 +456,10 @@ def _cmd_pd(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     if args.route == "oracle":
-        print(graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap).pd())
-        return 0
-    case = _family_case(node, ambient, args.route)
-    if args.route == "closed":
-        closed = case.closed_pd_reg()
-        if closed is None:
-            raise ParseError("no closed pd for corner families; "
-                             "use --route recursive or oracle")
-        pd = closed[0]
-    elif case.kind == "mixed" and case.t >= 1:
-        pd = recursion.short_path_pd_rec(case.n, case.s, case.t)
+        pd = graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap).pd()
     else:
-        pd = len(route_totals(case, "recursion")) - 1
+        pd = verify.route_pd(_family_case(node, ambient, args.route), args.route)
     print(pd)
-    return 0
-
-
-def _cmd_gf(args) -> int:
-    try:
-        for i in range(args.imax + 1):
-            print(f"{i}\t{formulas.series_betti(args.n, args.t, i)}")
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
     return 0
 
 
@@ -541,15 +521,12 @@ def _positive(text: str) -> int:
     return value
 
 
-def _non_negative(text: str) -> int:
-    """argparse type of gf --imax: a non-negative integer."""
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
-    return value
-
-
-def _add_common(parser, char=True):
+def _add_common(parser, char=True, route=None):
+    if route:
+        aliases = verify.ROUTE_ALIASES
+        parser.add_argument("--route", type=lambda name: aliases.get(name, name),
+                            choices=verify.ROUTES, default=route,
+                            help=", ".join(f"{a} is {r}" for a, r in aliases.items()))
     parser.add_argument("--lattice-cap", type=_positive, default=DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
     if char:
@@ -565,28 +542,17 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="print the Betti table of an ideal expression")
     p_table.add_argument("expr")
-    p_table.add_argument("--route", choices=("oracle", "formula", "recursion"),
-                         default="oracle")
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p_table.add_argument("--strict-delta", action="store_true",
                          help="use the closed-form corner-chain multiset "
                               "(over-counts at s=0; for demonstration)")
-    _add_common(p_table)
+    _add_common(p_table, route="oracle")
     p_table.set_defaults(fn=_cmd_table)
 
     p_pd = sub.add_parser("pd", help="projective dimension of an ideal expression")
     p_pd.add_argument("expr")
-    p_pd.add_argument("--route", choices=("closed", "recursive", "oracle"),
-                      default="closed")
-    _add_common(p_pd)
+    _add_common(p_pd, route="closed")
     p_pd.set_defaults(fn=_cmd_pd)
-
-    p_gf = sub.add_parser("gf", help="long-power Betti numbers from the "
-                                     "generating-function expansion")
-    p_gf.add_argument("--n", type=int, required=True)
-    p_gf.add_argument("--t", type=int, required=True)
-    p_gf.add_argument("--imax", type=_non_negative, required=True)
-    p_gf.set_defaults(fn=_cmd_gf)
 
     p_split = sub.add_parser("split", help="audit a Betti splitting with the oracle")
     p_split.add_argument("total")

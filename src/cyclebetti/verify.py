@@ -11,6 +11,7 @@ import functools
 import json
 import random
 import time
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
@@ -141,41 +142,62 @@ class FamilyCase:
         return self.t == 0 and (self.s == 0 or self.n == 2)
 
 
-# (kind, route) -> fn(n, s, t, strict_delta) giving the total Betti sequence.
-# Both closed routes are cached sequences; the long-power one stops at
-# i = min(n-1, t), where a binomial vanishes.  The series route evaluates
-# i = 0..n, exhaustive since the pd is below the n variables.
-_ROUTE_TOTALS = {
-    ("long-power", "closed"): lambda n, s, t, strict: formulas.long_power_seq(n, t),
-    ("long-power", "recursion"): lambda n, s, t, strict: recursion.long_path_seq(n, 0, t),
-    ("long-power", "series"):
-        lambda n, s, t, strict: [formulas.series_betti(n, t, i) for i in range(n + 1)],
-    ("mixed", "closed"): lambda n, s, t, strict: formulas.short_path_seq(n, s, t),
-    ("mixed", "recursion"): lambda n, s, t, strict: recursion.mixed_seq(n, s, t, strict),
-    ("corner", "recursion"): lambda n, s, t, strict: recursion.corner_seq(n, s, t, strict),
+# The one table of which route answers which family kind.  A Route's totals
+# maps each kind it answers to fn(case, strict_delta, char, cap), the total
+# Betti sequence; its pd(case) reads the pd off without the sequence, or gives
+# None where it cannot.  Entries reach formulas.* and recursion.* through the
+# module at call time.  Both closed sequences are cached; the long-power one
+# stops at i = min(n-1, t), where a binomial vanishes.  The series route
+# evaluates i = 0..n, exhaustive since the pd is below the n variables.
+Route = namedtuple("Route", "totals pd", defaults=(lambda case: None,))
+ROUTES = {
+    "closed": Route({"long-power": lambda c, *_: formulas.long_power_seq(c.n, c.t),
+                     "mixed": lambda c, *_: formulas.short_path_seq(c.n, c.s, c.t)},
+                    pd=lambda c: c.closed_pd_reg()[0]),
+    "recursion": Route(
+        {"long-power": lambda c, *_: recursion.long_path_seq(c.n, 0, c.t),
+         "mixed": lambda c, strict, *_: recursion.mixed_seq(c.n, c.s, c.t, strict),
+         "corner": lambda c, strict, *_: recursion.corner_seq(c.n, c.s, c.t, strict)},
+        pd=lambda c: (recursion.short_path_pd_rec(c.n, c.s, c.t)
+                      if c.kind == "mixed" and c.t >= 1 else None)),
+    "series": Route({"long-power": lambda c, *_: [formulas.series_betti(c.n, c.t, i)
+                                                  for i in range(c.n + 1)]}),
+    "oracle": Route(dict.fromkeys(FAMILY_KINDS, lambda c, strict, char, cap:
+                                  oracle_table(c.ideal(), char, cap).totals())),
 }
+# the other spellings of a route, read as its name where a name enters (the
+# CLI's --route and a config's routes); below that only ROUTES names appear
+ROUTE_ALIASES = {"formula": "closed", "recursive": "recursion"}
+
+
+def check_route(kind: str, route: str) -> None:
+    """Raise ValueError unless route is a name of ROUTES that answers the
+    family kind; the message names the routes that do."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}; routes: {', '.join(ROUTES)}")
+    if kind not in ROUTES[route].totals:
+        if kind not in FAMILY_KINDS:
+            raise ValueError(f"unknown family kind {kind!r}")
+        *others, last = (name for name, entry in ROUTES.items() if kind in entry.totals)
+        raise ValueError(f"route {route!r} not applicable to {kind} families; "
+                         f"use --route {', '.join(others)} or {last}")
 
 
 def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
                  strict_delta: bool = False, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
-    """Total Betti sequence (i = 0, 1, ...) of the case by the given route.
-
-    Routes: "oracle", "closed", "recursion", "series".  Each is one call:
-    the oracle's table, the recursion's or a closed form's cached sequence,
-    or the series form over i = 0..n.  Trailing zeros are stripped.
-    """
-    if route == "oracle":
-        return _oracle_totals(case.ideal(), char, cap)
-    sequence = _ROUTE_TOTALS.get((case.kind, route))
-    if sequence is None:
-        if case.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {case.kind!r}")
-        raise ValueError(f"route {route!r} not applicable to {case.kind} families")
-    return list(formulas.strip_zeros(sequence(case.n, case.s, case.t, strict_delta)))
+    """Total Betti sequence (i = 0, 1, ...) of the case by the route's entry
+    in ROUTES, trailing zeros stripped."""
+    check_route(case.kind, route)
+    sequence = ROUTES[route].totals[case.kind](case, strict_delta, char, cap)
+    return list(formulas.strip_zeros(sequence))
 
 
-def _oracle_totals(ideal: MonomialIdeal, char: int, cap: int) -> list[int]:
-    return list(formulas.strip_zeros(oracle_table(ideal, char, cap).totals()))
+def route_pd(case: FamilyCase, route: str) -> int:
+    """Projective dimension of the case by the route: its pd function where
+    that covers the case, else the last index of its totals."""
+    check_route(case.kind, route)
+    value = ROUTES[route].pd(case)
+    return len(route_totals(case, route)) - 1 if value is None else value
 
 
 def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
@@ -200,7 +222,7 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 start = time.perf_counter()
-                totals[name] = (_oracle_totals(ideal(), p, cap) if route == "oracle"
+                totals[name] = (oracle_table(ideal(), p, cap).totals() if route == "oracle"
                                 else route_totals(case, route, cap=cap))
                 route_millis[name] = int((time.perf_counter() - start) * 1000)
             return _disagreement(((i,) for i in range(max(map(len, totals.values())))),
@@ -544,10 +566,13 @@ def _read_config(config) -> tuple[tuple[str, ...], tuple]:
                 raise ValueError(f"{where}: {key!r} must be a range [lo, hi] with "
                                  f"{least} <= lo <= hi for {kind} families, "
                                  f"not {[lo, hi]!r}")
-        routes = _listed(sweep, "routes", str, where, _DEFAULT_ROUTES)
-        for route in routes:
-            if route != "oracle" and (kind, route) not in _ROUTE_TOTALS:
-                raise ValueError(f"{where}: route {route!r} not applicable to {kind} families")
+        routes = tuple(ROUTE_ALIASES.get(name, name)
+                       for name in _listed(sweep, "routes", str, where, _DEFAULT_ROUTES))
+        try:
+            for route in routes:
+                check_route(kind, route)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         _check_members(routes, "routes", where)
         # long(n)^t has no s: a range would run each case once per s
         if kind == "long-power" and bounds["s"] != [0, 0]:

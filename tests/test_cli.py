@@ -208,8 +208,8 @@ class TestTableCommand:
 
     def test_unit_ideal_rejected(self, capsys):
         # reduced(n)^s * full(n)^t is the unit ideal when n = 2 or s = t = 0
-        routes = {"table": ("oracle", "formula", "recursion"),
-                  "pd": ("closed", "recursive", "oracle")}
+        routes = {"table": ("oracle", "formula", "recursion", "series"),
+                  "pd": ("closed", "recursive", "oracle", "series")}
         cases = [("table", "(1)", "oracle"), ("pd", "(1)", "oracle")]
         cases += [(command, expr, route) for command in routes for route in routes[command]
                   for expr in ("I(2)^2", "J(5)^0", "J(2) * I(2)^3", "Jc(5,4)^0")]
@@ -274,7 +274,8 @@ class TestBadCharacteristic:
          "--lattice-cap", "-3"),
         ("verify", "residuals", "--lattice-cap", "-1"),
         ("verify", "residuals", "--lattice-cap", "ten"),
-        ("gf", "--n", "3", "--t", "1", "--imax", "-3"),
+        ("table", "Jc(4,3)", "--route", "gf"),
+        ("pd", "Jc(4,3)", "--route", "formulas"),
     ])
     def test_usage_exit(self, capsys, argv):
         # the option with the bad value is the second-last argument
@@ -314,8 +315,8 @@ class TestBadInput:
     refuses: exit 2 with one error line, never a traceback."""
 
     @pytest.mark.parametrize("argv", [
-        ("gf", "--n", "1", "--t", "1", "--imax", "2"),
-        ("gf", "--n", "4", "--t", "-1", "--imax", "2"),
+        ("table", "Jc(5,4)^0", "--route", "series"),
+        ("pd", "J(4) * m(x1,x4)^2", "--route", "series"),
         ("table", "(x1^99999999999*x2)"),
         ("table", "(x1^2147483648*x2)^2"),
         ("pd", "(x1^2147483648) * m(x1,x2)", "--route", "oracle"),
@@ -402,7 +403,7 @@ class TestOutOfMemory:
 
 
 class TestPdCommand:
-    @pytest.mark.parametrize("route", ["closed", "recursive", "oracle"])
+    @pytest.mark.parametrize("route", ["closed", "recursive", "oracle", "recursion"])
     def test_routes_agree(self, capsys, route):
         # pd caps at n-1 = 4 for odd n, below 2(s+t) = 6
         code, out, _ = run_cli(capsys, "pd", "J(5)^2 * I(5)", "--route", route)
@@ -422,8 +423,43 @@ class TestPdCommand:
     def test_closed_refuses_corner(self, capsys):
         code, out, err = run_cli(capsys, "pd", "J(4) * m(x1,x4)^2", "--route", "closed")
         assert code == 2 and out == ""
-        assert err == ("error: no closed pd for corner families; "
-                       "use --route recursive or oracle\n")
+        assert err == ("error: route 'closed' not applicable to corner families; "
+                       "use --route recursion or oracle\n")
+
+
+class TestRouteParity:
+    """table, pd and a config sweep read one route registry: for every route
+    name and alias and a member of each family kind, all three accept or all
+    three refuse, with one message naming the routes that apply."""
+
+    MEMBERS = {"long-power": ("Jc(5,4)^2", 5, 0, 2),
+               "mixed": ("J(4) * I(4)", 4, 1, 1),
+               "corner": ("J(4) * m(x1,x4)^2", 4, 1, 2)}
+
+    @pytest.mark.parametrize("route", [*verify.ROUTES, *verify.ROUTE_ALIASES])
+    @pytest.mark.parametrize("kind", verify.FAMILY_KINDS)
+    def test_table_pd_and_configs_agree(self, capsys, kind, route):
+        expr, n, s, t = self.MEMBERS[kind]
+        refusals = []
+        for command in ("table", "pd"):
+            code, out, err = run_cli(capsys, command, expr, "--route", route)
+            assert (code, bool(out)) in ((0, True), (2, False)), (command, err)
+            refusals.append(err.removeprefix("error: ").rstrip("\n"))
+        # a lone route other than the oracle compares nothing, so it is paired
+        routes = [route] if route == "oracle" else [route, "oracle"]
+        sweep = {"kind": kind, "n": [n, n], "s": [s, s], "t": [t, t], "routes": routes}
+        try:
+            verify._read_config({"sweeps": [sweep]})
+            refusals.append("")
+        except ValueError as exc:
+            refusals.append(str(exc).removeprefix("config sweep 1: "))
+        assert refusals[0] == refusals[1] == refusals[2]
+        name = verify.ROUTE_ALIASES.get(route, route)
+        applies = kind in verify.ROUTES[name].totals
+        assert (refusals[0] == "") == applies, refusals[0]
+        if not applies:
+            assert refusals[0].startswith(
+                f"route {name!r} not applicable to {kind} families; use --route ")
 
 
 class TestLongRecursionCommand:
@@ -458,12 +494,23 @@ class TestLongRecursionCommand:
             "i,j,value", "0,19998,50005000", "1,19999,99990000", "2,20000,49985001"]
 
 
-class TestGfCommand:
+class TestSeriesRoute:
     def test_columns(self, capsys):
-        code, out, _ = run_cli(capsys, "gf", "--n", "3", "--t", "1", "--imax", "2")
+        # the long power Jc(3,2): beta_0 = 3, beta_1 = 2, and beta_2 = 0 is stripped
+        code, out, _ = run_cli(capsys, "table", "Jc(3,2)", "--route", "series",
+                               "--format", "csv")
         assert code == 0
-        assert [line.split() for line in out.splitlines()] == \
-            [["0", "3"], ["1", "2"], ["2", "0"]]
+        assert out.splitlines() == ["i,j,value", "0,2,3", "1,3,2"]
+
+    @pytest.mark.parametrize("expr", ["Jc(6,5)^3", "Jc(400,399)^2"])
+    def test_equals_the_formula_route(self, capsys, expr):
+        for command, fmt in (("table", ["--format", "csv"]), ("pd", [])):
+            outputs = []
+            for route in ("series", "formula"):
+                code, out, _ = run_cli(capsys, command, expr, "--route", route, *fmt)
+                assert code == 0, (command, route)
+                outputs.append(out)
+            assert outputs[0] == outputs[1], command
 
 
 class TestSplitCommand:
@@ -569,6 +616,12 @@ class TestVerifyCommand:
                       "routes": ["closed", "closed", "oracle"], "chars": [2]}]},
          "config sweep 1: 'routes' lists 'closed' twice"),
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["formula", "closed"]}]},
+         "config sweep 1: 'routes' lists 'closed' twice"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "gf"]}]},
+         "config sweep 1: unknown route 'gf'; routes: closed, recursion, series, oracle"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
                       "routes": ["closed", "oracle"], "chars": [2, 2]}]},
          "config sweep 1: 'chars' lists 2 twice"),
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": []}]},
@@ -588,9 +641,10 @@ class TestVerifyCommand:
         ({"sweeps": []}, "config lists no suite and no sweep, so it verifies nothing"),
     ], ids=["top-level-list", "scalar-range", "chars-of-strings", "routes-string",
             "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
-            "repeated-route", "repeated-char", "no-routes", "no-chars",
-            "no-chars-closed-oracle", "lone-route", "repeated-suite",
-            "suite-repeated-through-all", "empty-config", "no-suites", "no-sweeps"])
+            "repeated-route", "alias-repeats-route", "unknown-route", "repeated-char",
+            "no-routes", "no-chars", "no-chars-closed-oracle", "lone-route",
+            "repeated-suite", "suite-repeated-through-all", "empty-config", "no-suites",
+            "no-sweeps"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))

@@ -96,12 +96,33 @@ class TestRouteTotals:
         assert closed == route_totals(case, "recursion") == route_totals(case, "series")
 
     def test_corner_has_no_closed_route(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "route 'closed' not applicable to corner families; "
+                "use --route recursion or oracle")):
             route_totals(FamilyCase("corner", 4, 0, 2), "closed")
 
     def test_series_only_for_long(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(
+                "route 'series' not applicable to mixed families; "
+                "use --route closed, recursion or oracle")):
             route_totals(FamilyCase("mixed", 4, 0, 2), "series")
+
+    @pytest.mark.parametrize("case", [
+        FamilyCase("long-power", 5, 0, 2), FamilyCase("mixed", 5, 1, 1),
+        FamilyCase("mixed", 6, 2, 0), FamilyCase("corner", 4, 1, 2)])
+    def test_route_pd_equals_the_oracle(self, case):
+        # mixed t = 0 has no recursive pd function, so the recursion counts its totals
+        want = len(route_totals(case, "oracle")) - 1
+        for route, entry in verify.ROUTES.items():
+            if case.kind in entry.totals:
+                assert verify.route_pd(case, route) == want, route
+
+    @pytest.mark.parametrize("route", ["gf", "formula"])
+    def test_unknown_route(self, route):
+        # aliases are read where a name enters, so below that one is unknown
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown route {route!r}; routes: closed, recursion, series, oracle")):
+            route_totals(FamilyCase("mixed", 4, 0, 2), route)
 
 
 class TestCrossValidate:
@@ -170,13 +191,14 @@ class TestAgreement:
             "at": [5, 1, 2, 3], "routes": ["recursion", "closed"], "values": ["25", "26"]}
 
     def test_cross_validate_witness_names_every_route(self, monkeypatch):
-        closed = verify._ROUTE_TOTALS[("mixed", "closed")]
+        entries = verify.ROUTES["closed"].totals
+        closed = entries["mixed"]
 
-        def one_too_high(n, s, t, strict):
-            totals = list(closed(n, s, t, strict))
+        def one_too_high(*args):
+            totals = list(closed(*args))
             totals[1] += 1
             return totals
-        monkeypatch.setitem(verify._ROUTE_TOTALS, ("mixed", "closed"), one_too_high)
+        monkeypatch.setitem(entries, "mixed", one_too_high)
         report = next(cross_validate([FamilyCase("mixed", 4, 0, 1)],
                                      ["closed", "recursion", "oracle"], chars=(2, 32003)))
         assert report.witness == {
@@ -358,6 +380,12 @@ class TestSuites:
             "mixed(n=3,s=0,t=1) routes=closed/recursion",
             "mixed(n=3,s=0,t=2) routes=closed/recursion"]
 
+    def test_config_aliases_read_as_route_names(self):
+        config = {"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                              "routes": ["formula", "recursive"]}]}
+        assert [r.case for r in run_config(config)] == [
+            "mixed(n=3,s=0,t=1) routes=closed/recursion"]
+
     def test_config_suites_key(self):
         reports = list(run_config({"suites": ["example-row"]}))
         assert len(reports) == 1 and reports[0].ok
@@ -372,6 +400,15 @@ class TestSuites:
         ({"sweeps": [{"kind": "mixed", "s": [True, 2]}]}, "'s' must be an integer range"),
         ({"sweeps": [{"kind": "mixed", "routes": ["series"]}]},
          "route 'series' not applicable to mixed families"),
+        ({"sweeps": [{"kind": "corner", "n": [4, 4], "t": [1, 1],
+                      "routes": ["formula", "oracle"]}]},
+         "config sweep 1: route 'closed' not applicable to corner families; "
+         "use --route recursion or oracle"),
+        ({"sweeps": [{"kind": "mixed", "routes": ["gf", "oracle"]}]},
+         "config sweep 1: unknown route 'gf'; routes: closed, recursion, series, oracle"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["formula", "closed"]}]},
+         "config sweep 1: 'routes' lists 'closed' twice"),
         ({"sweeps": [{"kind": "mixed", "chars": [2.0]}]}, "'chars' must be a list of integers"),
         ({"sweeps": [{"kind": "mixed", "chars": [4]}]}, "'chars': 4 is not prime"),
         ({"sweeps": [{"kind": "mixed", "n": [4, 4], "s": [-2, -1], "t": [1, 1],
@@ -429,6 +466,7 @@ class TestSuites:
          "config lists no suite and no sweep, so it verifies nothing"),
     ], ids=["unknown-key", "unknown-suite", "sweeps-object", "unknown-kind",
             "unknown-sweep-key", "short-range", "bool-bound", "route-not-applicable",
+            "alias-not-applicable", "unknown-route", "alias-repeats-route",
             "float-char", "composite-char", "negative-s", "negative-t", "n-below-2",
             "lo-above-hi", "long-power-t0", "long-power-default-t", "long-power-s-range",
             "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
