@@ -14,11 +14,12 @@ Ideal expressions follow the grammar
   atom   := Jc(n,m) | I(n) | J(n) | m(x1,...,xk) | '(' [mono{,mono}] ')' | '(' expr ')'
 
 with precedence ^ > * > + = & (left-associative).  Jc(n,m) is the m-path
-ideal of the n-cycle, I(n)/J(n) the full/reduced short-path ideals, m(...)
-the ideal generated by the listed variables, and a parenthesized monomial
-list a literal generating set: ``()`` is the zero ideal, ``(1)`` the unit
-ideal, and build_ideal(str(I)).embed(I.ambient) == I for every ideal I.
-Routes are those of verify.ROUTES, with the aliases formula and recursive.
+ideal of the n-cycle, I(n)/J(n) the full/reduced short-path ideals, and a
+parenthesized monomial list a literal generating set: ``()`` is the zero
+ideal, ``(1)`` the unit ideal, and build_ideal(str(I)).embed(I.ambient) == I
+for every ideal I.  m(x1,...,xk) is the literal list (x1, ..., xk).  Routes
+are those of verify.ROUTES, with the aliases formula and recursive; --char
+and --lattice-cap apply to the oracle route only.
 Exit codes: 0 success, 1 verification mismatch, 2 usage or parse error,
 3 resource cap exceeded or out of memory.
 """
@@ -29,10 +30,11 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 
 from . import families, verify
-from .monomials import CandidateCapError, Monomial, MonomialIdeal, variable
+from .monomials import CandidateCapError, Monomial, MonomialIdeal
 from .oracle import (BettiTable, DEFAULT_LATTICE_CAP, DEFAULT_PRIME,
                      LatticeCapError, check_prime, graded_betti)
 from .verify import FamilyCase, route_totals
@@ -47,24 +49,9 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CycleAtom:
-    n: int
-    m: int
-
-
-@dataclass(frozen=True)
-class ShortAtom:      # I(n)
-    n: int
-
-
-@dataclass(frozen=True)
-class ReducedAtom:    # J(n)
-    n: int
-
-
-@dataclass(frozen=True)
-class VarsAtom:       # m(x1,...,xk)
-    indices: tuple[int, ...]
+class NamedAtom:      # Jc(n,m), I(n), J(n)
+    name: str
+    args: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -84,6 +71,17 @@ class BinOp:
     op: str           # '*', '+', '&'
     left: object
     right: object
+
+
+# Each named atom's parameter count, and from its parameters the ideal it
+# builds (through families.* at call time) and the family factor it is.
+AtomKind = namedtuple("AtomKind", "arity build factor")
+NAMED_ATOMS = {
+    "Jc": AtomKind(2, lambda n, m: families.cycle_path_ideal(n, m),
+                   lambda n, m: {n - 1: "long", n - 2: "full"}.get(m)),
+    "I": AtomKind(1, lambda n: families.short_path_ideal(n), lambda n: "full"),
+    "J": AtomKind(1, lambda n: families.reduced_short_path_ideal(n), lambda n: "reduced"),
+}
 
 
 _TOKEN_RE = re.compile(
@@ -164,43 +162,37 @@ class _Parser:
         kind, tok, _ = self.peek()
         if kind == "name":
             self.take()
-            if tok == "Jc":
-                self.take("(")
-                n = self.uint()
-                self.take(",")
-                m = self.uint()
+            if tok in NAMED_ATOMS:
+                args = []
+                for sep in "(" + "," * (NAMED_ATOMS[tok].arity - 1):
+                    self.take(sep)
+                    args.append(self.uint())
                 self.take(")")
-                return CycleAtom(n, m)
-            if tok in ("I", "J"):
-                self.take("(")
-                n = self.uint()
-                self.take(")")
-                return ShortAtom(n) if tok == "I" else ReducedAtom(n)
+                return NamedAtom(tok, tuple(args))
             if tok == "m":
                 self.take("(")
-                indices = [self.var_index()]
-                while self.peek()[0] == ",":
-                    self.take()
-                    indices.append(self.var_index())
-                self.take(")")
-                return VarsAtom(tuple(indices))
-            self.error(f"unknown atom {tok!r} (expected Jc, I, J or m)")
+                return LiteralAtom(self.listed(lambda: ((self.var_index(), 1),)))
+            self.error(f"unknown atom {tok!r} (expected {', '.join(NAMED_ATOMS)} or m)")
         if kind == "(":
             self.take()
             if self.peek()[0] == ")":
                 self.take()
                 return LiteralAtom(())
             if self.peek()[0] in ("var", "int"):
-                monos = [self.monomial()]
-                while self.peek()[0] == ",":
-                    self.take()
-                    monos.append(self.monomial())
-                self.take(")")
-                return LiteralAtom(tuple(monos))
+                return LiteralAtom(self.listed(self.monomial))
             node = self.expr()
             self.take(")")
             return node
         self.error(f"expected an atom, found {tok!r}" if tok else "expected an atom")
+
+    def listed(self, item) -> tuple:
+        """item() once, then once more after each ',', up to the closing ')'."""
+        items = [item()]
+        while self.peek()[0] == ",":
+            self.take()
+            items.append(item())
+        self.take(")")
+        return tuple(items)
 
     def var_index(self) -> int:
         tok = self.take("var")[1]
@@ -235,7 +227,7 @@ def parse_ideal(text: str):
 # ---------------------------------------------------------------------------
 
 def _walk_atoms(node):
-    if isinstance(node, (CycleAtom, ShortAtom, ReducedAtom, VarsAtom, LiteralAtom)):
+    if isinstance(node, (NamedAtom, LiteralAtom)):
         yield node
     elif isinstance(node, Power):
         yield from _walk_atoms(node.base)
@@ -252,18 +244,15 @@ def resolve_ambient(*nodes) -> int:
     var_max = 0
     for node in nodes:
         for atom in _walk_atoms(node):
-            if isinstance(atom, CycleAtom):
-                if atom.n < 2 or not 2 <= atom.m <= atom.n:
-                    raise ParseError(
-                        f"Jc({atom.n},{atom.m}): path length must be in 2..{atom.n}")
-                fixed.add(atom.n)
-            elif isinstance(atom, (ShortAtom, ReducedAtom)):
-                if atom.n < 2:
+            if isinstance(atom, NamedAtom):
+                n, *rest = atom.args
+                if atom.name == "Jc" and not 2 <= rest[0] <= n:
+                    raise ParseError(f"Jc({n},{rest[0]}): path length must be in 2..{n}")
+                if n < 2:
                     raise ParseError("I(n)/J(n) need n >= 2")
-                fixed.add(atom.n)
-            elif isinstance(atom, (VarsAtom, LiteralAtom)):
-                indices = (atom.indices if isinstance(atom, VarsAtom)
-                           else [idx for mono in atom.monomials for idx, _ in mono])
+                fixed.add(n)
+            else:
+                indices = [idx for mono in atom.monomials for idx, _ in mono]
                 if any(idx < 1 for idx in indices):
                     raise ParseError("variable indices start at x1")
                 var_max = max([var_max, *indices])
@@ -289,14 +278,8 @@ def evaluate(node, ambient: int) -> MonomialIdeal:
 
 
 def _evaluate(node, ambient: int) -> MonomialIdeal:
-    if isinstance(node, CycleAtom):
-        return families.cycle_path_ideal(node.n, node.m)
-    if isinstance(node, ShortAtom):
-        return families.short_path_ideal(node.n)
-    if isinstance(node, ReducedAtom):
-        return families.reduced_short_path_ideal(node.n)
-    if isinstance(node, VarsAtom):
-        return MonomialIdeal([variable(i, ambient) for i in node.indices], ambient)
+    if isinstance(node, NamedAtom):
+        return NAMED_ATOMS[node.name].build(*node.args)
     if isinstance(node, LiteralAtom):
         gens = [Monomial(tuple(dict(m).get(i + 1, 0) for i in range(ambient)))
                 for m in node.monomials]
@@ -337,14 +320,12 @@ def _powered_factors(node, exp: int = 1):
 
 
 def _family_factor(node, ambient: int) -> str | None:
-    """The family factor node is: long, full, reduced or corner, else None."""
-    if isinstance(node, CycleAtom):
-        return {node.n - 1: "long", node.n - 2: "full"}.get(node.m)
-    if isinstance(node, ShortAtom):
-        return "full"
-    if isinstance(node, ReducedAtom):
-        return "reduced"
-    if isinstance(node, VarsAtom) and tuple(sorted(set(node.indices))) == (1, ambient):
+    """The family factor node is: long, full, reduced or corner, else None.
+    A corner factor lists x1 and xn in any order, repeats allowed."""
+    if isinstance(node, NamedAtom):
+        return NAMED_ATOMS[node.name].factor(*node.args)
+    if isinstance(node, LiteralAtom) and \
+            sorted(set(node.monomials)) == [((1, 1),), ((ambient, 1),)]:
         return "corner"
     return None
 
@@ -435,7 +416,18 @@ def _family_case(node, ambient: int, route: str) -> FamilyCase:
     return case
 
 
+def _oracle_options(args) -> None:
+    """Default the --char and --lattice-cap table or pd left out (None); only
+    the oracle route reads them, so another route refuses a given one."""
+    for name, default in (("char", DEFAULT_PRIME), ("lattice_cap", DEFAULT_LATTICE_CAP)):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.route != "oracle":
+            raise ParseError(f"--{name.replace('_', '-')} applies to --route oracle only")
+
+
 def _cmd_table(args) -> int:
+    _oracle_options(args)
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     case = None if args.route == "oracle" else _family_case(node, ambient, args.route)
@@ -453,6 +445,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_pd(args) -> int:
+    _oracle_options(args)
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     if args.route == "oracle":
@@ -527,10 +520,12 @@ def _add_common(parser, char=True, route=None):
         parser.add_argument("--route", type=lambda name: aliases.get(name, name),
                             choices=verify.ROUTES, default=route,
                             help=", ".join(f"{a} is {r}" for a, r in aliases.items()))
-    parser.add_argument("--lattice-cap", type=_positive, default=DEFAULT_LATTICE_CAP,
+    parser.add_argument("--lattice-cap", type=_positive,
+                        default=None if route else DEFAULT_LATTICE_CAP,
                         help="abort if the lcm lattice grows past this size")
     if char:
-        parser.add_argument("--char", type=_characteristic, default=DEFAULT_PRIME,
+        parser.add_argument("--char", type=_characteristic,
+                            default=None if route else DEFAULT_PRIME,
                             help=f"prime field characteristic (default {DEFAULT_PRIME})")
 
 

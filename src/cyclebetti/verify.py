@@ -107,6 +107,11 @@ class FamilyCase:
         return f"{self.kind}(n={self.n},s={self.s},t={self.t})"
 
     def ideal(self) -> MonomialIdeal:
+        """The member's ideal, built at the first call and kept with the case."""
+        return self._ideal
+
+    @functools.cached_property
+    def _ideal(self) -> MonomialIdeal:
         if self.kind == "long-power":
             return families.long_path_ideal(self.n) ** self.t
         if self.kind == "mixed":
@@ -214,7 +219,6 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
                 for p in (chars if route == "oracle" else (DEFAULT_PRIME,))]
     joined = "/".join(route for route, _ in expanded)
     for case in cases:
-        ideal = functools.cache(case.ideal)
         route_millis = {}
 
         def compute():
@@ -222,8 +226,7 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
             for route, p in expanded:
                 name = f"oracle(p={p})" if route == "oracle" else route
                 start = time.perf_counter()
-                totals[name] = (oracle_table(ideal(), p, cap).totals() if route == "oracle"
-                                else route_totals(case, route, cap=cap))
+                totals[name] = route_totals(case, route, char=p, cap=cap)
                 route_millis[name] = int((time.perf_counter() - start) * 1000)
             return _disagreement(((i,) for i in range(max(map(len, totals.values())))),
                                  {name: functools.partial(formulas.seq_entry, seq)
@@ -232,17 +235,15 @@ def cross_validate(cases, routes, chars=(DEFAULT_PRIME,),
         report = _timed(f"{case.label()} routes={joined}", compute)
         report.route_millis = route_millis
         yield report
-        for route, p in expanded:
-            if route == "oracle":
-                yield _audit_oracle(case, ideal, p, cap)
+        for p in chars if "oracle" in routes else ():
+            yield _audit_oracle(case, p, cap)
 
 
-def _audit_oracle(case: FamilyCase, ideal, char: int, cap: int) -> Report:
+def _audit_oracle(case: FamilyCase, char: int, cap: int) -> Report:
     """Single-row linearity plus pd/reg against the closed formulas; a corner
-    case has no closed pd/reg, so only its rows are audited.  ideal() gives
-    the case's ideal."""
+    case has no closed pd/reg, so only its rows are audited."""
     def compute():
-        table = oracle_table(ideal(), char, cap)
+        table = oracle_table(case.ideal(), char, cap)
         closed = {"rows": [case.initial_degree()],
                   **dict(zip(("pd", "reg"), case.closed_pd_reg() or ()))}
         oracle = {"rows": table.rows(), "pd": table.pd(), "reg": table.reg()}
@@ -346,7 +347,7 @@ def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
         yield _agreement(f"three-route long-power n={n} t<={t_max}", points, routes)
     for n, t in LONG_DESK_SET:
         case = FamilyCase("long-power", n, 0, t)
-        yield _audit_oracle(case, case.ideal, DEFAULT_PRIME, cap)
+        yield _audit_oracle(case, DEFAULT_PRIME, cap)
 
 
 def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
@@ -574,6 +575,9 @@ def _read_config(config) -> tuple[tuple[str, ...], tuple]:
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         _check_members(routes, "routes", where)
+        if "chars" in sweep and "oracle" not in routes:
+            raise ValueError(f"{where}: 'chars' is read by the oracle route only; "
+                             "list 'oracle' in 'routes' or drop 'chars'")
         # long(n)^t has no s: a range would run each case once per s
         if kind == "long-power" and bounds["s"] != [0, 0]:
             raise ValueError(f"{where}: 's' must be [0, 0] for long-power families, "

@@ -11,10 +11,9 @@ import pytest
 import cyclebetti
 
 from cyclebetti import cli, verify
-from cyclebetti.cli import (BinOp, CycleAtom, LiteralAtom, ParseError, Power,
-                            ReducedAtom, ShortAtom, VarsAtom, _tokenize, build_ideal,
-                            classify_family, emit_betti_table, evaluate, main,
-                            parse_ideal, resolve_ambient)
+from cyclebetti.cli import (BinOp, LiteralAtom, NamedAtom, ParseError, Power,
+                            _tokenize, build_ideal, classify_family, emit_betti_table,
+                            evaluate, main, parse_ideal, resolve_ambient)
 from cyclebetti.families import (corner_power, cycle_path_ideal, mixed_power,
                                  short_path_ideal)
 from cyclebetti.formulas import short_path_betti_parts
@@ -25,29 +24,30 @@ from cyclebetti.verify import FamilyCase
 
 class TestParser:
     def test_atoms(self):
-        assert parse_ideal("Jc(5,3)") == CycleAtom(5, 3)
-        assert parse_ideal("I(6)") == ShortAtom(6)
-        assert parse_ideal("J(6)") == ReducedAtom(6)
-        assert parse_ideal("m(x1,x6)") == VarsAtom((1, 6))
+        assert parse_ideal("Jc(5,3)") == NamedAtom("Jc", (5, 3))
+        assert parse_ideal("I(6)") == NamedAtom("I", (6,))
+        assert parse_ideal("J(6)") == NamedAtom("J", (6,))
+        assert parse_ideal("m(x1,x6)") == LiteralAtom((((1, 1),), ((6, 1),)))
+        assert parse_ideal("m(x1,x6)") == parse_ideal("(x1, x6)")
         assert parse_ideal("(x1*x2, x2^2)") == LiteralAtom(
             (((1, 1), (2, 1)), ((2, 2),)))
         assert parse_ideal("(1)") == LiteralAtom(((),))
         assert parse_ideal("()") == LiteralAtom(())
 
     def test_power_binds_tightest(self):
-        assert parse_ideal("Jc(5,3)^2") == Power(CycleAtom(5, 3), 2)
+        assert parse_ideal("Jc(5,3)^2") == Power(NamedAtom("Jc", (5, 3)), 2)
         node = parse_ideal("J(6)^2 * I(6)")
-        assert node == BinOp("*", Power(ReducedAtom(6), 2), ShortAtom(6))
+        assert node == BinOp("*", Power(NamedAtom("J", (6,)), 2), NamedAtom("I", (6,)))
 
     def test_sum_and_meet_level(self):
         node = parse_ideal("I(4) + J(4) & m(x1,x4)")
-        assert node == BinOp("&", BinOp("+", ShortAtom(4), ReducedAtom(4)),
-                             VarsAtom((1, 4)))
+        assert node == BinOp("&", BinOp("+", NamedAtom("I", (4,)), NamedAtom("J", (4,))),
+                             LiteralAtom((((1, 1),), ((4, 1),))))
 
     def test_parenthesized_expression(self):
         node = parse_ideal("(I(4) + J(4)) * m(x1,x4)")
-        assert node == BinOp("*", BinOp("+", ShortAtom(4), ReducedAtom(4)),
-                             VarsAtom((1, 4)))
+        assert node == BinOp("*", BinOp("+", NamedAtom("I", (4,)), NamedAtom("J", (4,))),
+                             LiteralAtom((((1, 1),), ((4, 1),))))
 
     def test_position_annotated_errors(self):
         with pytest.raises(ParseError, match="position"):
@@ -120,6 +120,10 @@ class TestClassify:
         assert classify("I(4) + J(4)") is None
         assert classify("Jc(6,3)") is None
         assert classify("m(x1,x3)^2 * I(4)") is None
+        # a corner factor is the generator set {x1, xn}, however it is written
+        assert classify("J(4)*(x1,x4)^2") == FamilyCase("corner", 4, 1, 2)
+        assert classify("(x4, x1, x1)^2") == FamilyCase("corner", 4, 0, 2)
+        assert classify("(x1, x4^2)") is None
         # exponents multiply through nested powers
         assert classify("(J(5)*I(5))^2") == classify("J(5)^2*I(5)^2")
         assert classify("(Jc(6,5)^2)^3") == FamilyCase("long-power", 6, 0, 6)
@@ -182,6 +186,13 @@ class TestTableCommand:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_written_out_corner_factor(self, capsys):
+        # (x1,x4) and m(x1,x4) are one literal node, so one corner factor
+        written, named = (run_cli(capsys, "table", expr, "--route", "recursion",
+                                  "--format", "csv")
+                          for expr in ("J(4)*(x1,x4)^2", "J(4)*m(x1,x4)^2"))
+        assert written == named and written[0] == 0
 
     @pytest.mark.parametrize("nested, flat, route", [
         ("(J(5)*I(5))^2", "J(5)^2*I(5)^2", "formula"),
@@ -328,6 +339,10 @@ class TestBadInput:
         ("table", "()"),
         ("pd", "()", "--route", "oracle"),
         ("split", "()", "()", "()"),
+        ("table", "I(5)^2", "--route", "closed", "--char", "2"),
+        ("table", "I(5)^2", "--route", "recursion", "--lattice-cap", "200000"),
+        ("pd", "I(5)^2", "--char", "32003"),
+        ("pd", "Jc(5,4)^2", "--route", "series", "--lattice-cap", "1"),
     ])
     def test_usage_exit(self, argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -336,6 +351,29 @@ class TestBadInput:
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("table", "I(5)^2", "--route", "formula", "--char", "2", "--lattice-cap", "1"),
+         "--char"),
+        (("pd", "I(5)^2", "--lattice-cap", "200000"), "--lattice-cap"),
+    ], ids=["table", "pd"])
+    def test_oracle_options_refused_off_the_oracle(self, capsys, argv, flag):
+        # only the oracle reads them, so elsewhere a given one is refused, whatever its value
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {flag} applies to --route oracle only\n"
+
+    @pytest.mark.parametrize("command", ["table", "pd"])
+    def test_oracle_options_default_when_left_out(self, capsys, monkeypatch, command):
+        seen = []
+        real = cli.graded_betti
+
+        def spy(ideal, p, cap):
+            seen.append((p, cap))
+            return real(ideal, p, cap)
+        monkeypatch.setattr(cli, "graded_betti", spy)
+        code, _, _ = run_cli(capsys, command, "I(5)^2", "--route", "oracle")
+        assert code == 0 and seen == [(32003, 200000)]
 
     @pytest.mark.parametrize("argv", [
         ("table", "()"),
@@ -634,6 +672,9 @@ class TestVerifyCommand:
          "config sweep 1: 'chars' must list at least one item"),
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
          "config sweep 1: route 'closed' alone compares nothing"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "recursion"], "chars": [2, 3]}]},
+         "config sweep 1: 'chars' is read by the oracle route only"),
         ({"suites": ["delta-edge", "delta-edge"]}, "config: 'suites' lists 'delta-edge' twice"),
         ({"suites": ["example-row", "all"]}, "config: 'suites' lists 'example-row' twice"),
         ({}, "config lists no suite and no sweep, so it verifies nothing"),
@@ -643,7 +684,7 @@ class TestVerifyCommand:
             "suites-string", "negative-s", "mixed-unit", "corner-unit", "long-power-s",
             "repeated-route", "alias-repeats-route", "unknown-route", "repeated-char",
             "no-routes", "no-chars", "no-chars-closed-oracle", "lone-route",
-            "repeated-suite", "suite-repeated-through-all", "empty-config", "no-suites",
+            "chars-without-oracle", "repeated-suite", "suite-repeated-through-all", "empty-config", "no-suites",
             "no-sweeps"])
     def test_malformed_config_exits_2(self, tmp_path, config, message):
         path = tmp_path / "config.json"

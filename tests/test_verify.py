@@ -148,12 +148,12 @@ class TestCrossValidate:
     def test_each_case_builds_its_ideal_once(self, monkeypatch):
         # two characteristics, each compared and audited, share one build per case
         built = []
-        real = FamilyCase.ideal
+        real = FamilyCase._ideal.func
 
         def counted(case):
             built.append(case)
             return real(case)
-        monkeypatch.setattr(FamilyCase, "ideal", counted)
+        monkeypatch.setattr(FamilyCase._ideal, "func", counted)
         reports = list(run_suite("long-path-oracle"))
         assert len(reports) == 11 * 3 and all(r.ok for r in reports)
         assert len(built) == len(set(built)) == len(verify.LONG_DESK_SET) == 11
@@ -459,6 +459,10 @@ class TestSuites:
         ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["oracle"]},
                      {"kind": "mixed", "n": [3, 3], "t": [1, 1], "routes": ["closed"]}]},
          "config sweep 2: route 'closed' alone compares nothing"),
+        ({"sweeps": [{"kind": "mixed", "n": [3, 3], "t": [1, 1],
+                      "routes": ["closed", "recursion"], "chars": [2, 3]}]},
+         "config sweep 1: 'chars' is read by the oracle route only; "
+         "list 'oracle' in 'routes' or drop 'chars'"),
         ({"suites": ["delta-edge", "delta-edge"]}, "config: 'suites' lists 'delta-edge' twice"),
         ({"suites": ["example-row", "all"]}, "config: 'suites' lists 'example-row' twice"),
         ({"suites": []}, "config lists no suite and no sweep, so it verifies nothing"),
@@ -472,7 +476,7 @@ class TestSuites:
             "mixed-unit", "mixed-n2-unit", "corner-unit", "corner-default-routes",
             "repeated-route", "repeated-char", "no-routes", "no-chars",
             "no-chars-closed-oracle", "no-chars-without-oracle", "lone-route",
-            "repeated-suite", "suite-repeated-through-all", "no-suites", "nothing-listed"])
+            "chars-without-oracle", "repeated-suite", "suite-repeated-through-all", "no-suites", "nothing-listed"])
     def test_malformed_config_refused_before_running(self, monkeypatch, config, message):
         def must_not_run(cap, seed):
             raise AssertionError("a suite ran before the config was checked")
