@@ -6,7 +6,8 @@ deterministic and == is ideal equality.
 """
 from cyclebetti import Monomial, variable
 from cyclebetti.cli import build_ideal
-from cyclebetti.families import cycle_path_ideal, short_path_pair
+from cyclebetti.families import (cycle_path_ideal, reduced_short_path_ideal,
+                                 short_path_ideal)
 
 print("=" * 72)
 print("MONOMIALS AND CANONICAL IDEALS")
@@ -32,7 +33,7 @@ print("=" * 72)
 print("PATH IDEALS OF CYCLES")
 print("=" * 72)
 print(f"3-paths of the 5-cycle: {cycle_path_ideal(5, 3)}")
-full, reduced = short_path_pair(5)
+full, reduced = short_path_ideal(5), reduced_short_path_ideal(5)
 print(f"short pair at n=5: full {full}")
 print(f"                reduced {reduced}  (generator at x2 dropped)")
 

@@ -9,8 +9,7 @@ from .families import (chain_pair, chain_piece, chain_tail, corner_chain_pairs, 
                        corner_power, cycle_path_ideal, graded_component,
                        long_path_ideal, mixed_chain_pairs, mixed_power,
                        path_generator, reduced_short_path_ideal,
-                       short_path_ideal, short_path_pair, stacked_reduced_power,
-                       support_envelope)
+                       short_path_ideal, support_envelope)
 from .formulas import (binomial, long_path_betti, long_path_pd_reg,
                        reduced_power_betti, reduced_power_pd_reg, series_betti,
                        short_path_betti, short_path_betti_parts,

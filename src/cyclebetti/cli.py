@@ -152,7 +152,7 @@ class _Parser:
         node = self.atom()
         if self.peek()[0] == "^":
             self.take()
-            node = Power(node, int(self.take("int")[1]))
+            node = Power(node, self.uint())
         return node
 
     def uint(self) -> int:
@@ -161,6 +161,8 @@ class _Parser:
     def atom(self):
         kind, tok, _ = self.peek()
         if kind == "name":
+            if tok not in NAMED_ATOMS and tok != "m":
+                self.error(f"unknown atom {tok!r} (expected {', '.join(NAMED_ATOMS)} or m)")
             self.take()
             if tok in NAMED_ATOMS:
                 args = []
@@ -169,10 +171,8 @@ class _Parser:
                     args.append(self.uint())
                 self.take(")")
                 return NamedAtom(tok, tuple(args))
-            if tok == "m":
-                self.take("(")
-                return LiteralAtom(self.listed(lambda: ((self.var_index(), 1),)))
-            self.error(f"unknown atom {tok!r} (expected {', '.join(NAMED_ATOMS)} or m)")
+            self.take("(")
+            return LiteralAtom(self.listed(lambda: ((self.var_index(), 1),)))
         if kind == "(":
             self.take()
             if self.peek()[0] == ")":
@@ -200,8 +200,9 @@ class _Parser:
 
     def monomial(self) -> tuple[tuple[int, int], ...]:
         if self.peek()[0] == "int":
-            if self.take()[1] != "1":
+            if self.peek()[1] != "1":
                 self.error("a literal monomial is '1' or a product of x-powers")
+            self.take()
             return ()
         powers: dict[int, int] = {}
         while True:

@@ -66,11 +66,6 @@ def reduced_short_path_ideal(n: int) -> MonomialIdeal:
         [path_generator(n, i, n - 2) for i in range(1, n + 1) if i != 2], n)
 
 
-def short_path_pair(n: int) -> tuple[MonomialIdeal, MonomialIdeal]:
-    """(full, reduced) short-path ideals in ambient n."""
-    return short_path_ideal(n), reduced_short_path_ideal(n)
-
-
 def corner_ideal(n: int) -> MonomialIdeal:
     """(x1, xn): the variables not supporting the dropped generator."""
     if n < 2:
@@ -88,15 +83,6 @@ def corner_power(n: int, s: int, t: int) -> MonomialIdeal:
     """reduced^s * (x1,xn)^t in ambient n."""
     _check_st(n, s, t)
     return reduced_short_path_ideal(n) ** s * corner_ideal(n) ** t
-
-
-def stacked_reduced_power(n: int, s: int, t: int) -> MonomialIdeal:
-    """reduced(n-1)^s (flat-embedded) * reduced(n)^t in ambient n."""
-    _check_st(n, s, t)
-    if n == 2:
-        return MonomialIdeal.unit(2)
-    return (reduced_short_path_ideal(n - 1).embed(n) ** s
-            * reduced_short_path_ideal(n) ** t)
 
 
 def _check_st(n, s, t):

@@ -72,9 +72,6 @@ class Monomial:
         """0-based indices of variables dividing the monomial."""
         return tuple(i for i, e in enumerate(self.exponents) if e > 0)
 
-    def is_unit(self) -> bool:
-        return not any(self.exponents)
-
     def _check(self, other: "Monomial"):
         if self.ambient != other.ambient:
             raise AmbientMismatchError(
@@ -83,10 +80,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         self._check(other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(max(a, b) for a, b in zip(self.exponents, other.exponents))
 
     def __mul__(self, other):
         if isinstance(other, Monomial):
@@ -295,10 +288,6 @@ class MonomialIdeal:
         """Membership: some minimal generator divides m."""
         self._check(m)
         return bool((self.matrix() <= np.array(m.exponents)).all(axis=1).any())
-
-    def is_subideal_of(self, other: "MonomialIdeal") -> bool:
-        self._check(other)
-        return bool(_divisible(self.matrix(), other.matrix()).all())
 
     def _check(self, other: "MonomialIdeal | Monomial"):
         if self.ambient != other.ambient:

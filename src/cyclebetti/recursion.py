@@ -318,8 +318,8 @@ def short_path_pd_rec(n: int, s: int, t: int) -> int:
     if n == 3:
         return 2
     deepest = 0
-    for (u, v), mult in composed_support(s, t).items():
-        if mult > 0 and v >= 1:
+    for u, v in composed_support(s, t):
+        if v >= 1:
             deepest = max(deepest, short_path_pd_rec(n - 2, u, v))
     return max(min(n - 3, s + t), deepest + 2)
 

@@ -384,8 +384,7 @@ def suite_splittings(cap: int, seed: int) -> Iterator[Report]:
                             {"meet": lambda piece=piece, rest=rest: piece & rest,
                              "xn * piece": lambda piece=piece, n=n: variable(n, n) * piece})
 
-    # (c) splitting off the first generator of the stacked reduced product,
-    # reduced(n-1)^s * reduced(n)^t (families.stacked_reduced_power)
+    # (c) splitting off the first generator of reduced(n-1)^s * reduced(n)^t
     for n in (4, 5):
         yield from first_generator_splits("stacked", families.path_generator(n, 1, n - 2),
                                           families.reduced_short_path_ideal(n - 1).embed(n),

@@ -50,14 +50,25 @@ class TestParser:
                              LiteralAtom((((1, 1),), ((4, 1),))))
 
     def test_position_annotated_errors(self):
-        with pytest.raises(ParseError, match="position"):
-            parse_ideal("Jc(5")
-        with pytest.raises(ParseError, match="position"):
-            parse_ideal("I(4) +")
-        with pytest.raises(ParseError, match="position"):
-            parse_ideal("K(4)")
-        with pytest.raises(ParseError, match="position"):
-            parse_ideal("I(4) I(4)")
+        # one input per parse refusal; the position is where the offending token starts
+        cases = {
+            "I(4)?": "position 4: unexpected '?'",
+            "Jc(5": "position 4: unexpected end of input",
+            "I(4,5)": "position 3: expected ')', found ','",
+            "I(4) I(4)": "position 5: trailing input 'I'",
+            "K(3)": "position 0: unknown atom 'K' (expected Jc, I, J or m)",
+            "I(4) + ^": "position 7: expected an atom, found '^'",
+            "I(4) +": "position 6: expected an atom",
+            "(x1,2)": "position 4: a literal monomial is '1' or a product of x-powers",
+        }
+
+        def refusal(text):
+            with pytest.raises(ParseError) as raised:
+                parse_ideal(text)
+            return str(raised.value)
+
+        assert ({text: refusal(text) for text in cases}
+                == {text: f"syntax error at {message}" for text, message in cases.items()})
 
     def test_tokens(self):
         # an operator is its own kind; positions skip the whitespace before a token

@@ -9,7 +9,6 @@ from cyclebetti.families import (chain_pair, chain_piece, chain_steps, chain_tai
                                  graded_component, long_path_ideal,
                                  mixed_chain_pairs, mixed_power, path_generator,
                                  reduced_short_path_ideal, short_path_ideal,
-                                 short_path_pair, stacked_reduced_power,
                                  support_envelope)
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
 
@@ -44,23 +43,23 @@ class TestCyclePathIdeal:
 
 class TestShortPathPair:
     def test_n4(self):
-        full, reduced = short_path_pair(4)
+        full, reduced = short_path_ideal(4), reduced_short_path_ideal(4)
         assert full == cycle_path_ideal(4, 2)
         assert len(full) == 4 and len(reduced) == 3
         assert reduced == MonomialIdeal(
             [Monomial((1, 1, 0, 0)), Monomial((0, 0, 1, 1)), Monomial((1, 0, 0, 1))])
 
     def test_n2_is_whole_ring(self):
-        full, reduced = short_path_pair(2)
+        full, reduced = short_path_ideal(2), reduced_short_path_ideal(2)
         assert full.is_unit() and reduced.is_unit()
 
     def test_n3_is_variables(self):
-        full, reduced = short_path_pair(3)
+        full, reduced = short_path_ideal(3), reduced_short_path_ideal(3)
         assert full == MonomialIdeal([variable(i, 3) for i in (1, 2, 3)])
         assert reduced == MonomialIdeal([variable(1, 3), variable(3, 3)])
 
     def test_n5_counts(self):
-        full, reduced = short_path_pair(5)
+        full, reduced = short_path_ideal(5), reduced_short_path_ideal(5)
         assert len(full) == 5 and len(reduced) == 4
         assert all(g.degree == 3 for g in full.gens)
 
@@ -96,14 +95,6 @@ class TestProductFamilies:
                 got = corner_power(n, 0, t)
                 assert got == corner_ideal(n) ** t
                 assert len(got) == t + 1
-
-    def test_stacked_first_power(self):
-        # reduced(3) embedded times reduced(4) at s=0, t=1
-        assert stacked_reduced_power(4, 0, 1) == reduced_short_path_ideal(4)
-        got = stacked_reduced_power(4, 1, 1)
-        want = (reduced_short_path_ideal(3).embed(4)
-                * reduced_short_path_ideal(4))
-        assert got == want
 
 
 class TestGradedComponents:

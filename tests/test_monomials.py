@@ -30,17 +30,10 @@ class TestMonomial:
         with pytest.raises(AmbientMismatchError):
             mono(1, 0).divides(mono(1, 0, 0))
 
-    def test_lcm(self):
-        assert mono(1, 1, 0).lcm(mono(0, 1, 1)) == mono(1, 1, 1)
-        m = mono(2, 0, 1)
-        assert m.lcm(m) == m
-        assert mono(2, 0).lcm(mono(1, 1)) == mono(2, 1)
-
     def test_mul_pow_degree(self):
         assert mono(1, 2) * mono(0, 1) == mono(1, 3)
         assert mono(1, 2) ** 3 == mono(3, 6)
         assert mono(1, 2).degree == 3
-        assert mono(0, 0).is_unit()
 
     def test_rejects_bad_exponents(self):
         with pytest.raises(ValueError):
@@ -165,8 +158,8 @@ class TestAlgebraProperties:
         for _ in range(30):
             a, b = random_ideal(rng), random_ideal(rng)
             meet = a & b
-            assert meet.is_subideal_of(a)
-            assert meet.is_subideal_of(b)
+            assert a + meet == a
+            assert b + meet == b
 
 
 class TestScaledIntersectionIdentity:
@@ -182,7 +175,7 @@ class TestScaledIntersectionIdentity:
     def test_identity(self, j_gens, k_gens, n):
         J = ideal(*j_gens)
         K = ideal(*k_gens)
-        assert J.is_subideal_of(K)
+        assert K + J == K
         xn = variable(n, n)
         xnK = xn * K
         I = J + xnK
