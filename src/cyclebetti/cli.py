@@ -85,39 +85,33 @@ NAMED_ATOMS = {
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<var>x\d+)|(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>[()^*+&,]))")
+    r"(?P<var>x\d+)|(?P<name>[A-Za-z]+)|(?P<int>\d+)|(?P<op>[()^*+&,])"
+    r"|(?P<space>\s+)|(?P<stray>.)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """(kind, text, position) per token; an operator is its own kind."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            if text[pos:].strip():
-                raise ParseError(f"syntax error at position {pos}: "
-                                 f"unexpected {text[pos]!r}")
-            break
-        kind = match.lastgroup
-        tok = match[kind]
-        tokens.append((tok if kind == "op" else kind, tok, match.start(kind)))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind, tok, at = match.lastgroup, match[0], match.start()
+        if kind == "stray":
+            raise ParseError(f"syntax error at position {at}: unexpected {tok!r}")
+        if kind != "space":
+            tokens.append((tok if kind == "op" else kind, tok, at))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        # the end token (kind None) stands where the input ends
+        self.tokens = _tokenize(text) + [(None, None, len(text))]
         self.pos = 0
 
     def error(self, message: str):
-        at = self.tokens[self.pos][2] if self.pos < len(self.tokens) else len(self.text)
-        raise ParseError(f"syntax error at position {at}: {message}")
+        raise ParseError(f"syntax error at position {self.tokens[self.pos][2]}: {message}")
 
     def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
+        return self.tokens[self.pos]
 
     def take(self, kind=None):
         tok = self.peek()
@@ -130,7 +124,7 @@ class _Parser:
 
     def parse(self):
         node = self.expr()
-        if self.pos != len(self.tokens):
+        if self.peek()[0] is not None:
             self.error(f"trailing input {self.peek()[1]!r}")
         return node
 

@@ -311,6 +311,8 @@ class MonomialIdeal:
             raise ValueError("negative ideal power")
         if t == 0:
             return MonomialIdeal.unit(self.ambient)
+        if len(self) <= 1:
+            return MonomialIdeal([g ** t for g in self.gens], self.ambient)
         result = self
         for _ in range(t - 1):
             result = result * self

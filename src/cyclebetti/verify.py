@@ -152,8 +152,9 @@ class FamilyCase:
 # Betti sequence; its pd(case) reads the pd off without the sequence, or gives
 # None where it cannot.  Entries reach formulas.* and recursion.* through the
 # module at call time.  Both closed sequences are cached; the long-power one
-# stops at i = min(n-1, t), where a binomial vanishes.  The series route
-# evaluates i = 0..n, exhaustive since the pd is below the n variables.
+# stops at i = min(n-1, t), where a binomial vanishes.  So does the series
+# route: _core_coefficient(n-2, b, i) is 0 for i > b (b <= t) or i > n-2, and
+# its shifted copy at (n-2, b-1, i-1) for i > t or i > n-1.
 Route = namedtuple("Route", "totals pd", defaults=(lambda case: None,))
 ROUTES = {
     "closed": Route({"long-power": lambda c, *_: formulas.long_power_seq(c.n, c.t),
@@ -166,7 +167,7 @@ ROUTES = {
         pd=lambda c: (recursion.short_path_pd_rec(c.n, c.s, c.t)
                       if c.kind == "mixed" and c.t >= 1 else None)),
     "series": Route({"long-power": lambda c, *_: [formulas.series_betti(c.n, c.t, i)
-                                                  for i in range(c.n + 1)]}),
+                                                  for i in range(min(c.n - 1, c.t) + 1)]}),
     "oracle": Route(dict.fromkeys(FAMILY_KINDS, lambda c, strict, char, cap:
                                   oracle_table(c.ideal(), char, cap).totals())),
 }

@@ -53,6 +53,7 @@ class TestParser:
         # one input per parse refusal; the position is where the offending token starts
         cases = {
             "I(4)?": "position 4: unexpected '?'",
+            "I(4) ?": "position 5: unexpected '?'",
             "Jc(5": "position 4: unexpected end of input",
             "I(4,5)": "position 3: expected ')', found ','",
             "I(4) I(4)": "position 5: trailing input 'I'",
@@ -354,11 +355,13 @@ class TestBadInput:
         ("table", "I(5)^2", "--route", "recursion", "--lattice-cap", "200000"),
         ("pd", "I(5)^2", "--char", "32003"),
         ("pd", "Jc(5,4)^2", "--route", "series", "--lattice-cap", "1"),
+        ("table", "(x1)^3000000000"),
+        ("table", "()^3000000000"),
     ])
     def test_usage_exit(self, argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         done = subprocess.run([sys.executable, "-m", "cyclebetti", *argv], env=env,
-                              capture_output=True, text=True, timeout=60)
+                              capture_output=True, text=True, timeout=30)
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

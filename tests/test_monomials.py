@@ -87,6 +87,15 @@ class TestIdealAlgebra:
         assert I ** 2 == ideal((2, 0), (1, 1), (0, 2))
         assert (MonomialIdeal.zero(2) ** 0).is_unit()
 
+    @pytest.mark.parametrize("t", [1, 2, 1000])
+    def test_principal_power(self, t):
+        # one generator: the power is that generator's power, with no products
+        assert ideal((2, 0, 1)) ** t == ideal((2 * t, 0, t))
+
+    def test_unit_and_zero_powers(self):
+        assert (MonomialIdeal.unit(3) ** 7).is_unit()
+        assert (MonomialIdeal.zero(3) ** 3000000000).is_zero()
+
     def test_sum(self):
         assert ideal((1, 0)) + ideal((1, 1)) == ideal((1, 0))
         I = ideal((1, 1, 0), (0, 1, 1))

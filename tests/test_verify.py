@@ -95,6 +95,19 @@ class TestRouteTotals:
         assert closed == [50005000, 99990000, 49985001]
         assert closed == route_totals(case, "recursion") == route_totals(case, "series")
 
+    def test_series_stops_where_its_terms_vanish(self, monkeypatch):
+        # every term of series_betti is zero past i = min(n-1, t)
+        calls = []
+        real = formulas.series_betti
+
+        def counted(n, t, i):
+            calls.append(i)
+            return real(n, t, i)
+
+        monkeypatch.setattr(formulas, "series_betti", counted)
+        route_totals(FamilyCase("long-power", 300, 0, 2), "series")
+        assert calls == [0, 1, 2]
+
     def test_corner_has_no_closed_route(self):
         with pytest.raises(ValueError, match=re.escape(
                 "route 'closed' not applicable to corner families; "
