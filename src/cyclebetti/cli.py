@@ -265,7 +265,11 @@ def resolve_ambient(*nodes) -> int:
 
 def evaluate(node, ambient: int) -> MonomialIdeal:
     """The ideal a syntax tree denotes.  Values the monomial layer refuses,
-    such as an exponent past 2^31, raise ParseError."""
+    such as an exponent past 2^31, raise ParseError, and so does a ring
+    whose exponent vectors could not be lists, such as that of J(10^20)."""
+    if ambient > sys.maxsize:
+        raise ParseError(f"a ring of {ambient} variables is past the largest "
+                         f"list length, {sys.maxsize}")
     try:
         return _evaluate(node, ambient)
     except ValueError as exc:
@@ -565,6 +569,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
+    # exact answers print whatever their digit count; Python 3.10.7 and
+    # later refuse to convert an int past 4,300 digits to a string by default
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = args.fn(args)
         # a reader that went away shows up here, not in the flush at exit

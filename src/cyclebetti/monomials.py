@@ -313,6 +313,11 @@ class MonomialIdeal:
             return MonomialIdeal.unit(self.ambient)
         if len(self) <= 1:
             return MonomialIdeal([g ** t for g in self.gens], self.ambient)
+        # the last product's candidates reach t times the largest exponent,
+        # past which it would refuse; refuse before the first product instead
+        top = t * int(self.matrix().max())
+        if top > MAX_EXPONENT:
+            raise ValueError(f"exponent {top} exceeds 2^31")
         result = self
         for _ in range(t - 1):
             result = result * self

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -357,6 +358,7 @@ class TestBadInput:
         ("pd", "Jc(5,4)^2", "--route", "series", "--lattice-cap", "1"),
         ("table", "(x1)^3000000000"),
         ("table", "()^3000000000"),
+        ("table", "(x1,x2)^3000000000", "--route", "oracle"),
     ])
     def test_usage_exit(self, argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -399,6 +401,49 @@ class TestBadInput:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err == "error: the zero and unit ideals have no Betti table or pd\n"
+
+
+def run_module(*argv, timeout=30):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, "-m", "cyclebetti", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestHugeInputs:
+    """Inputs whose size, not whose mathematics, is the fault: refused at
+    once where the ideal would be built, answered where it is not."""
+
+    def test_ring_past_the_list_length(self):
+        done = run_module("pd", "J(100000000000000000000)", "--route", "oracle", timeout=20)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (f"error: a ring of 100000000000000000000 variables is past "
+                               f"the largest list length, {sys.maxsize}\n")
+
+    def test_family_routes_answer_past_the_list_length(self):
+        # the family routes never build the ideal: pd of J(n) is 1
+        done = run_module("pd", "J(100000000000000000000)", "--route", "formula")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+    def test_entries_past_4300_digits_print(self):
+        # J(5)^s has entries C(3, i) C(s + 3 - i, 3) in row 3s, about
+        # 4,500 digits at s = 10^1500, past Python's default of 4,300
+        s = 10 ** 1500
+        done = run_module("table", f"J(5)^{s}", "--route", "formula", "--format", "csv")
+        assert done.returncode == 0, done.stderr
+        header, *rows = done.stdout.splitlines()
+        assert header == "i,j,value"
+        # this process keeps Python's limit, so the values are compared as ints
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            got = [tuple(map(int, row.split(","))) for row in rows]
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+        assert got == [(i, 3 * s + i, math.comb(3, i) * math.comb(s + 3 - i, 3))
+                       for i in range(4)]
+        assert math.comb(s + 3, 3) > 10 ** 4300
 
 
 class TestSupportLimit:

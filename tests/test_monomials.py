@@ -96,6 +96,21 @@ class TestIdealAlgebra:
         assert (MonomialIdeal.unit(3) ** 7).is_unit()
         assert (MonomialIdeal.zero(3) ** 3000000000).is_zero()
 
+    @pytest.mark.parametrize("gens, t, top", [
+        (((1, 0), (0, 1)), 3000000000, 3000000000),
+        (((2, 0), (0, 1)), 2**30 + 1, 2**31 + 2),
+    ])
+    def test_power_past_the_exponent_limit(self, gens, t, top):
+        # t times the largest exponent is checked before the first product,
+        # so the refusal comes at once, not after t - 1 products
+        with pytest.raises(ValueError, match=rf"^exponent {top} exceeds 2\^31$"):
+            ideal(*gens) ** t
+
+    def test_power_at_the_exponent_limit_passes_the_check(self):
+        # 2^30 * 2 = 2^31 is allowed; t = 2 keeps the products few
+        I = ideal((2**30, 0), (0, 1))
+        assert I ** 2 == ideal((2**31, 0), (2**30, 1), (0, 2))
+
     def test_sum(self):
         assert ideal((1, 0)) + ideal((1, 1)) == ideal((1, 0))
         I = ideal((1, 1, 0), (0, 1, 1))

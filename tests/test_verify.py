@@ -4,10 +4,13 @@ import re
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyclebetti import formulas, recursion, verify
-from cyclebetti.monomials import Monomial, MonomialIdeal
-from cyclebetti.oracle import LatticeCapError
+from cyclebetti.families import cycle_path_ideal
+from cyclebetti.monomials import Monomial, MonomialIdeal, variable
+from cyclebetti.oracle import LatticeCapError, graded_betti, lcm_lattice
 from cyclebetti.verify import (FamilyCase, Report, check_splitting,
                                cross_validate, route_totals, run_config,
                                run_suite)
@@ -65,6 +68,96 @@ class TestCheckSplitting:
                 for _ in range(2)]
         assert runs[0].case == runs[1].case
         assert runs[0].witness == runs[1].witness
+
+
+def oracle_spy(monkeypatch):
+    """Start the oracle memo cold and count the graded_betti calls it makes."""
+    verify.clear_oracle_cache()
+    calls = []
+    real = verify.graded_betti
+
+    def spy(ideal, p, cap):
+        calls.append((ideal, p, cap))
+        return real(ideal, p, cap)
+    monkeypatch.setattr(verify, "graded_betti", spy)
+    return calls
+
+
+@st.composite
+def scaled_ideals(draw):
+    """(I, m*I): I has two or more generators in k used variables, embedded
+    with up to two unused ones; m is any monomial of the larger ring."""
+    k = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 2)] * k).filter(any)
+    I = MonomialIdeal([Monomial(e) for e in draw(st.lists(exponents, min_size=2,
+                                                          max_size=4))], k)
+    assume(len(I) >= 2)
+    I = I.embed(k + draw(st.integers(0, 2)))
+    m = Monomial(draw(st.tuples(*[st.integers(0, 3)] * I.ambient)))
+    return I, I * m
+
+
+class TestOracleMemo:
+    """oracle_table computes one table per ideal up to a monomial factor and
+    the variables no generator uses, shifted by the factor's degree."""
+    P = verify.DEFAULT_PRIME
+    CAP = verify.DEFAULT_LATTICE_CAP
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_ideals(), st.sampled_from([2, 32003]))
+    def test_scaled_table_equals_the_oracle(self, pair, p):
+        I, scaled = pair
+        verify.oracle_table(I, p, self.CAP)  # the scaled ideal's reduced form is held now
+        table = verify.oracle_table(scaled, p, self.CAP)
+        direct = graded_betti(scaled, p, self.CAP)
+        assert table == direct
+        assert (table.ambient, table.char) == (direct.ambient, direct.char) == \
+            (scaled.ambient, p)
+
+    def test_one_call_up_to_a_factor_and_unused_variables(self, monkeypatch):
+        calls = oracle_spy(monkeypatch)
+        I = cycle_path_ideal(5, 3)
+        plain = verify.oracle_table(I, self.P, self.CAP)
+        scaled = verify.oracle_table(variable(1, 5) * I, self.P, self.CAP)
+        wider = verify.oracle_table(I.embed(7), self.P, self.CAP)
+        assert len(calls) == 1
+        assert scaled.entries == {(i, j + 1): v for (i, j), v in plain.entries.items()}
+        assert wider == plain and (plain.ambient, wider.ambient) == (5, 7)
+
+    def test_cap_fires_for_the_scaled_ideal_as_for_the_ideal(self, monkeypatch):
+        oracle_spy(monkeypatch)
+        I = cycle_path_ideal(5, 3)
+        scaled = MonomialIdeal([Monomial((2, 0, 1, 0, 0))], 5) * I
+        size = len(lcm_lattice(I))
+        for ideal_ in (I, scaled):
+            with pytest.raises(LatticeCapError):
+                verify.oracle_table(ideal_, self.P, size - 1)
+        assert verify.oracle_table(scaled, self.P, size) == \
+            graded_betti(scaled, self.P, size)
+
+    def test_zero_ideal_refused_as_by_the_oracle(self, monkeypatch):
+        calls = oracle_spy(monkeypatch)
+        for trivial in (MonomialIdeal.zero(3), MonomialIdeal.unit(3)):
+            with pytest.raises(ValueError, match="nonzero, non-unit"):
+                verify.oracle_table(trivial, self.P, self.CAP)
+        assert [ideal_ for ideal_, _, _ in calls] == [MonomialIdeal.zero(3),
+                                                      MonomialIdeal.unit(3)]
+
+    def test_one_generator_ideal_is_its_own_key(self, monkeypatch):
+        calls = oracle_spy(monkeypatch)
+        principal = ideal((2, 1, 0))
+        for _ in range(2):
+            table = verify.oracle_table(principal, 2, self.CAP)
+            assert table.entries == {(0, 3): 1}
+            assert (table.ambient, table.char) == (3, 2)
+        assert calls == [(principal, 2, self.CAP)]
+
+    def test_all_suites_rank_148_tables_from_cold(self, monkeypatch):
+        # 455 oracle requests: 297 distinct ideals, 148 up to a monomial factor
+        calls = oracle_spy(monkeypatch)
+        assert all(report.ok for report in run_suite("all"))
+        assert len(calls) == 148
+        assert sum(len(ideal_) == 1 for ideal_, _, _ in calls) == 50
 
 
 class TestFamilyCase:
