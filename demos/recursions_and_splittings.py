@@ -3,8 +3,9 @@
 by the oracle, the mutual recursion they induce, and the one place where
 the closed-form index multiset needs a correction.
 """
-from cyclebetti.families import (chain_steps, chain_tail, corner_chain_pairs,
-                                 corner_power, mixed_chain_pairs, mixed_power)
+from cyclebetti.families import (chain_pair, chain_steps, chain_tail,
+                                 corner_chain_pairs, corner_power,
+                                 mixed_chain_pairs, mixed_power)
 from cyclebetti.oracle import graded_betti
 from cyclebetti.recursion import corner_rec, mixed_rec, short_path_pd_rec
 from cyclebetti.verify import check_splitting
@@ -51,7 +52,10 @@ print("The corner family itself settles it: (x1,xn)^t has t+1 generators.")
 print()
 for tt in (1, 2, 3):
     chain = corner_rec(4, 0, tt, 0)
-    strict = corner_rec(4, 0, tt, 0, strict_delta=True)
+    # beta_0 of one chain step over the closed-form multiset: the head's and
+    # each pair's, read off the recursion one size down
+    pairs = [chain_pair(0, tt, tt, "corner"), *corner_chain_pairs(0, tt, strict=True)]
+    strict = sum(mixed_rec(3, a, b, 0) for a, b in pairs)
     oracle = graded_betti(corner_power(4, 0, tt)).total(0)
     print(f"  t={tt}: chain multiset gives {chain}, closed-form multiset "
           f"gives {strict}, oracle says {oracle}")

@@ -430,14 +430,10 @@ def _cmd_table(args) -> int:
     node = parse_ideal(args.expr)
     ambient = resolve_ambient(node)
     case = None if args.route == "oracle" else _family_case(node, ambient, args.route)
-    # only the mixed and corner recursions read the corner-chain multiset
-    if args.strict_delta and (args.route != "recursion" or case.kind == "long-power"):
-        raise ParseError("--strict-delta applies to --route recursion on mixed "
-                         "and corner expressions only")
     if case is None:
         table = graded_betti(_oracle_ideal(node, ambient), args.char, args.lattice_cap)
     else:
-        totals = route_totals(case, args.route, strict_delta=args.strict_delta)
+        totals = route_totals(case, args.route)
         table = BettiTable.from_totals(totals, case.initial_degree(), ambient)
     print(emit_betti_table(table, args.format))
     return 0
@@ -537,9 +533,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print the Betti table of an ideal expression")
     p_table.add_argument("expr")
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--strict-delta", action="store_true",
-                         help="use the closed-form corner-chain multiset "
-                              "(over-counts at s=0; for demonstration)")
     _add_common(p_table, route="oracle")
     p_table.set_defaults(fn=_cmd_table)
 

@@ -178,7 +178,8 @@ def corner_chain_pairs(s: int, t: int, strict: bool = False) -> list[tuple[int, 
     The default enumerates the chain steps directly (length s + t).  With
     strict=True the closed-form multiset is used instead; the two agree for
     s >= 1 but strict gives one extra (0,0) at s = 0, which the corner family
-    itself refutes (it has t+1 minimal generators, not t+2).
+    itself refutes (it has t+1 minimal generators, not t+2): verify's
+    delta-edge suite, its one reader in the package, states that over-count.
     """
     if t < 1:
         raise ValueError("corner chain pairs need t >= 1")

@@ -27,12 +27,12 @@ bottom-up over n in a plain loop.  The mixed/corner recursion is mutual:
 each mixed-chain step contributes corner families one cycle size down, and
 each corner-chain step mixed families one size down, until t = 0, where
 reduced(n)^s is formulas.long_power_seq(n-1, s).  Its memo holds the packed
-sequence of every member evaluated so far, one memo per field width and
-corner multiset, so a member is evaluated once per width however many
-requests reach it.  A request first lists, size by size from its own down,
-only the members that width's memo lacks: the descent stops at each member
-the memo holds.  It then evaluates them from the smallest size up, so
-neither recursion's Python stack grows with n.
+sequence of every member evaluated so far, one memo per field width, so a
+member is evaluated once per width however many requests reach it.  A
+request first lists, size by size from its own down, only the members that
+width's memo lacks: the descent stops at each member the memo holds.  It
+then evaluates them from the smallest size up, so neither recursion's
+Python stack grows with n.
 
 long_path_rec, mixed_rec and corner_rec are index lookups into the cached
 sequences.  The recursions are pure; the caches only affect speed, never
@@ -179,7 +179,7 @@ def _member(family: str, s: int, t: int) -> tuple[str, int, int]:
 
 
 @cache
-def _chain_terms(which: str, s: int, t: int, strict: bool):
+def _chain_terms(which: str, s: int, t: int):
     """Members one size down that a chain step at t >= 1 sums.
 
     Returns (head, pairs): the step's sequence is head + (1+z) * sum(pairs),
@@ -189,20 +189,18 @@ def _chain_terms(which: str, s: int, t: int, strict: bool):
     head = _member("mixed", *chain_pair(s, t, s + t, which))
     if which == "mixed":
         return head, tuple(_member("corner", a, b) for a, b in mixed_chain_pairs(s, t))
-    return head, tuple(_member("mixed", a, b)
-                       for a, b in corner_chain_pairs(s, t, strict=strict))
+    return head, tuple(_member("mixed", a, b) for a, b in corner_chain_pairs(s, t))
 
 
 @cache
-def _chain_memo(width: int, strict: bool) -> defaultdict[int, dict]:
+def _chain_memo(width: int) -> defaultdict[int, dict]:
     """The mutual recursion's memo at one field width: cycle size n ->
     {(family, s, t): packed sequence}.  A cached factory, so clear_caches
     drops every width's memo with the other caches."""
     return defaultdict(dict)
 
 
-def _chain_step(below: dict, n: int, member: tuple[str, int, int], strict: bool,
-                width: int) -> int:
+def _chain_step(below: dict, n: int, member: tuple[str, int, int], width: int) -> int:
     """One step of the mutual recursion at cycle size n, packed in fields of
     width bits.  below is the memo of size n - 1, where _chain_seq put every
     member this step sums before calling it."""
@@ -213,15 +211,14 @@ def _chain_step(below: dict, n: int, member: tuple[str, int, int], strict: bool,
         return _pack((1,) if which == "mixed" else (t + 1, t), width, which, n, s, t)
     if t == 0:  # reduced(n)^s: the long-path closed form one size down
         return _pack(long_power_seq(n - 1, s), width, which, n, s, t)
-    head, pairs = _chain_terms(which, s, t, strict)
+    head, pairs = _chain_terms(which, s, t)
     if 2 * len(pairs) + 1 >= 1 << width // 8:  # the sum could carry past the guards
         raise _FieldOverflow
     acc = sum(map(below.__getitem__, pairs))
     return _guarded(below[head] + acc + (acc << width), width)
 
 
-def _missing(which: str, n: int, s: int, t: int, strict: bool,
-             memo: defaultdict) -> list[set]:
+def _missing(which: str, n: int, s: int, t: int, memo: defaultdict) -> list[set]:
     """The members that (which, n, s, t) needs and memo lacks, one set of
     (family, s, t) per size from n down.  Only a missing member's summands
     are looked up, so the descent stops at every member memo holds."""
@@ -236,7 +233,7 @@ def _missing(which: str, n: int, s: int, t: int, strict: bool,
         if size > 2:
             for w, a, b in members:
                 if a >= 0 and b > 0:
-                    head, pairs = _chain_terms(w, a, b, strict)
+                    head, pairs = _chain_terms(w, a, b)
                     below.add(head)
                     below.update(pairs)
         members = below
@@ -244,48 +241,46 @@ def _missing(which: str, n: int, s: int, t: int, strict: bool,
 
 
 @cache
-def _chain_seq(which: str, n: int, s: int, t: int, strict: bool) -> Seq:
+def _chain_seq(which: str, n: int, s: int, t: int) -> Seq:
     def packed_at(width):
-        memo = _chain_memo(width, strict)
-        levels = _missing(which, n, s, t, strict, memo)
+        memo = _chain_memo(width)
+        levels = _missing(which, n, s, t, memo)
         for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
             here, below = memo[size], memo[size - 1]
             for member in members:
-                here[member] = _chain_step(below, size, member, strict, width)
+                here[member] = _chain_step(below, size, member, width)
         return memo[n][which, s, t]
     return _widening(packed_at)
 
 
-def mixed_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:
+def mixed_seq(n: int, s: int, t: int) -> Seq:
     """Betti sequence of reduced^s * full^t via the mutual chain recursion.
 
     Negative s or t give the zero sequence ().
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _chain_seq("mixed", n, s, t, bool(strict_delta))
+    return _chain_seq("mixed", n, s, t)
 
 
-def corner_seq(n: int, s: int, t: int, strict_delta: bool = False) -> Seq:
+def corner_seq(n: int, s: int, t: int) -> Seq:
     """Betti sequence of reduced^s * (x1,xn)^t via the mutual chain recursion.
 
-    strict_delta switches the corner-chain multiset to its closed form,
-    which over-counts by one at s = 0; exposed to demonstrate that the
-    chain-derived multiset is the one the oracle confirms.
+    Negative s or t give the zero sequence ().
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    return _chain_seq("corner", n, s, t, bool(strict_delta))
+    return _chain_seq("corner", n, s, t)
 
 
-def mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+def mixed_rec(n: int, s: int, t: int, i: int) -> int:
     """Betti number beta_i of reduced^s * full^t; see mixed_seq."""
-    return seq_entry(mixed_seq(n, s, t, strict_delta), i)
+    return seq_entry(mixed_seq(n, s, t), i)
 
 
-def corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+def corner_rec(n: int, s: int, t: int, i: int) -> int:
     """Betti number beta_i of reduced^s * (x1,xn)^t; see corner_seq."""
-    return seq_entry(corner_seq(n, s, t, strict_delta), i)
+    return seq_entry(corner_seq(n, s, t), i)
 
 
 def composed_support(s: int, t: int) -> Counter:

@@ -177,13 +177,13 @@ class FamilyCase:
 
 
 # The one table of which route answers which family kind.  A Route's totals
-# maps each kind it answers to fn(case, strict_delta, char, cap), the total
-# Betti sequence; its pd(case) reads the pd off without the sequence, or gives
-# None where it cannot.  Entries reach formulas.* and recursion.* through the
-# module at call time.  Both closed sequences are cached; the long-power one
-# stops at i = min(n-1, t), where a binomial vanishes.  So does the series
-# route: _core_coefficient(n-2, b, i) is 0 for i > b (b <= t) or i > n-2, and
-# its shifted copy at (n-2, b-1, i-1) for i > t or i > n-1.
+# maps each kind it answers to fn(case, char, cap), the total Betti sequence;
+# its pd(case) reads the pd off without the sequence, or gives None where it
+# cannot.  Entries reach formulas.* and recursion.* through the module at
+# call time.  Both closed sequences are cached; the long-power one stops at
+# i = min(n-1, t), where a binomial vanishes.  So does the series route:
+# _core_coefficient(n-2, b, i) is 0 for i > b (b <= t) or i > n-2, and its
+# shifted copy at (n-2, b-1, i-1) for i > t or i > n-1.
 Route = namedtuple("Route", "totals pd", defaults=(lambda case: None,))
 ROUTES = {
     "closed": Route({"long-power": lambda c, *_: formulas.long_power_seq(c.n, c.t),
@@ -191,13 +191,13 @@ ROUTES = {
                     pd=lambda c: c.closed_pd_reg()[0]),
     "recursion": Route(
         {"long-power": lambda c, *_: recursion.long_path_seq(c.n, 0, c.t),
-         "mixed": lambda c, strict, *_: recursion.mixed_seq(c.n, c.s, c.t, strict),
-         "corner": lambda c, strict, *_: recursion.corner_seq(c.n, c.s, c.t, strict)},
+         "mixed": lambda c, *_: recursion.mixed_seq(c.n, c.s, c.t),
+         "corner": lambda c, *_: recursion.corner_seq(c.n, c.s, c.t)},
         pd=lambda c: (recursion.short_path_pd_rec(c.n, c.s, c.t)
                       if c.kind == "mixed" and c.t >= 1 else None)),
     "series": Route({"long-power": lambda c, *_: [formulas.series_betti(c.n, c.t, i)
                                                   for i in range(min(c.n - 1, c.t) + 1)]}),
-    "oracle": Route(dict.fromkeys(FAMILY_KINDS, lambda c, strict, char, cap:
+    "oracle": Route(dict.fromkeys(FAMILY_KINDS, lambda c, char, cap:
                                   oracle_table(c.ideal(), char, cap).totals())),
 }
 # the other spellings of a route, read as its name where a name enters (the
@@ -219,11 +219,11 @@ def check_route(kind: str, route: str) -> None:
 
 
 def route_totals(case: FamilyCase, route: str, char: int = DEFAULT_PRIME,
-                 strict_delta: bool = False, cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
+                 cap: int = DEFAULT_LATTICE_CAP) -> list[int]:
     """Total Betti sequence (i = 0, 1, ...) of the case by the route's entry
     in ROUTES, trailing zeros stripped."""
     check_route(case.kind, route)
-    sequence = ROUTES[route].totals[case.kind](case, strict_delta, char, cap)
+    sequence = ROUTES[route].totals[case.kind](case, char, cap)
     return list(formulas.strip_zeros(sequence))
 
 
@@ -462,11 +462,22 @@ def suite_delta_edge(cap: int, seed: int) -> Iterator[Report]:
     is a tested statement rather than a silent patch."""
     n, t = 4, 2
     corner = families.corner_power(n, 0, t)
+
+    def strict_step(n, s, t, i):
+        # one corner-chain step over the strict multiset, head + (1+z) *
+        # sum(pairs), read off the default recursion one size down; at n = 4
+        # it is the whole strict recursion: its n = 3 members read no multiset
+        below = functools.partial(recursion.mixed_rec, n - 1)
+        return below(*families.chain_pair(s, t, s + t, "corner"), i) + sum(
+            below(a, b, i) + below(a, b, i - 1)
+            for a, b in families.corner_chain_pairs(s, t, strict=True))
+
     # beta_0 counts the t + 1 generators; the strict multiset over-counts it by one
-    for strict, name in ((False, "default"), (True, "strict over-counts")):
+    for strict, name, chain in ((False, "default", recursion.corner_rec),
+                                (True, "strict over-counts", strict_step)):
         yield _agreement(
             f"delta edge {name} corner(n={n},t={t})", [(n, 0, t, 0)],
-            {"recursion": functools.partial(recursion.corner_rec, strict_delta=strict),
+            {"recursion": chain,
              "oracle": lambda n, s, t, i, strict=strict:
                  oracle_table(corner, DEFAULT_PRIME, cap).total(i) + strict,
              "generators": lambda n, s, t, i, strict=strict: t + 1 + strict})

@@ -252,33 +252,10 @@ class TestTableCommand:
         assert code == 3 and "cap" in err
 
     def test_strict_delta_flag(self, capsys):
+        # the corner recursion's beta_0 of (x1,x4)^2 is its 3 generators
         _, chain, _ = run_cli(capsys, "table", "m(x1,x4)^2", "--route",
                               "recursion", "--format", "csv")
-        _, strict, _ = run_cli(capsys, "table", "m(x1,x4)^2", "--route",
-                               "recursion", "--format", "csv", "--strict-delta")
         assert chain.splitlines()[1] == "0,2,3"
-        assert strict.splitlines()[1] == "0,2,4"
-
-    @pytest.mark.parametrize("expr, route, code, first_row", [
-        ("I(5)^2", "recursion", 0, "0,6,16"),
-        ("I(5)^2", "formula", 2, None),
-        ("I(5)^2", "oracle", 2, None),
-        ("m(x1,x4)^2", "oracle", 2, None),
-        ("Jc(5,4)^2", "recursion", 2, None),
-        ("Jc(5,4)^2", "formula", 2, None),
-    ], ids=["mixed-recursion", "mixed-formula", "mixed-oracle",
-            "corner-oracle", "long-power-recursion", "long-power-formula"])
-    def test_strict_delta_where_it_applies(self, capsys, expr, route, code, first_row):
-        # the flag changes the mixed and corner recursions alone; elsewhere
-        # it would be ignored, so it is refused
-        got, out, err = run_cli(capsys, "table", expr, "--route", route,
-                                "--format", "csv", "--strict-delta")
-        assert got == code, (expr, route)
-        if code == 0:
-            assert out.splitlines()[1] == first_row and err == ""
-        else:
-            assert out == "" and err.count("\n") == 1
-            assert err.startswith("error: --strict-delta applies to --route recursion")
 
 
 class TestBadCharacteristic:
@@ -310,20 +287,17 @@ class TestBadCharacteristic:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument {argv[-2]}:")
 
-    def test_split_refuses_strict_delta(self, capsys):
-        # split never reads the flag, so it is refused rather than ignored
-        with pytest.raises(SystemExit) as exit_info:
-            main(["split", "m(x1,x2)", "m(x1)", "m(x2)", "--strict-delta"])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == \
-            "cyclebetti: error: unrecognized arguments: --strict-delta"
-
     @pytest.mark.parametrize("argv", [
+        ("table", "m(x1,x4)^2", "--route", "recursion"),
+        ("table", "I(5)^2", "--route", "formula"),
+        ("table", "m(x1,x4)^2", "--route", "oracle"),
         ("pd", "m(x1,x4)^2", "--route", "recursive"),
+        ("split", "m(x1,x2)", "m(x1)", "m(x2)"),
         ("verify", "delta-edge"),
-    ], ids=["pd", "verify"])
-    def test_refuses_strict_delta_off_table(self, capsys, argv):
-        # only table answers differently with the flag; pd and verify never do
+    ], ids=["table-recursion", "table-formula", "table-oracle", "pd", "split", "verify"])
+    def test_refuses_strict_delta(self, capsys, argv):
+        # no command has the flag: the strict corner multiset is read by
+        # verify delta-edge alone
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--strict-delta"])
         assert exit_info.value.code == 2

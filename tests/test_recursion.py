@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebetti import formulas, recursion
-from cyclebetti.families import (corner_chain_pairs, corner_power,
+from cyclebetti.families import (chain_pair, corner_chain_pairs, corner_power,
                                  mixed_chain_pairs, mixed_power,
                                  support_envelope)
 from cyclebetti.formulas import (long_path_betti, reduced_power_betti,
@@ -52,10 +52,10 @@ def ref_long_path_rec(n: int, s: int, t: int, i: int) -> int:
     return val
 
 
-def ref_bc(which: str, n: int, s: int, t: int, i: int, strict: bool) -> int:
+def ref_bc(which: str, n: int, s: int, t: int, i: int) -> int:
     if s < 0 or t < 0 or i < 0:
         return 0
-    key = (which, strict, n, s, t, i)
+    key = (which, n, s, t, i)
     cached = _bc_memo.get(key)
     if cached is not None:
         return cached
@@ -67,13 +67,13 @@ def ref_bc(which: str, n: int, s: int, t: int, i: int, strict: bool) -> int:
     elif t == 0:
         val = reduced_power_betti(n, s, i)
     elif which == "mixed":
-        val = ref_bc("mixed", n - 1, s + t, 0, i, strict)
+        val = ref_bc("mixed", n - 1, s + t, 0, i)
         for a, b in mixed_chain_pairs(s, t):
-            val += ref_bc("corner", n - 1, a, b, i, strict) + ref_bc("corner", n - 1, a, b, i - 1, strict)
+            val += ref_bc("corner", n - 1, a, b, i) + ref_bc("corner", n - 1, a, b, i - 1)
     else:
-        val = ref_bc("mixed", n - 1, s, 0, i, strict)
-        for a, b in corner_chain_pairs(s, t, strict=strict):
-            val += ref_bc("mixed", n - 1, a, b, i, strict) + ref_bc("mixed", n - 1, a, b, i - 1, strict)
+        val = ref_bc("mixed", n - 1, s, 0, i)
+        for a, b in corner_chain_pairs(s, t):
+            val += ref_bc("mixed", n - 1, a, b, i) + ref_bc("mixed", n - 1, a, b, i - 1)
     if val < 0:
         raise ArithmeticError(
             f"negative value in {which} recursion at {(n, s, t, i)}: {val}")
@@ -81,21 +81,20 @@ def ref_bc(which: str, n: int, s: int, t: int, i: int, strict: bool) -> int:
     return val
 
 
-def ref_mixed_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+def ref_mixed_rec(n: int, s: int, t: int, i: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
-    return ref_bc("mixed", n, s, t, i, strict_delta)
+    return ref_bc("mixed", n, s, t, i)
 
 
-def ref_corner_rec(n: int, s: int, t: int, i: int, strict_delta: bool = False) -> int:
+def ref_corner_rec(n: int, s: int, t: int, i: int) -> int:
     if n < 2:
         raise ValueError("need n >= 2")
-    return ref_bc("corner", n, s, t, i, strict_delta)
+    return ref_bc("corner", n, s, t, i)
 
 
 REFERENCE = {
-    "long-power": (lambda n, s, t, i, strict: ref_long_path_rec(n, s, t, i),
-                   lambda n, s, t, i, strict: long_path_rec(n, s, t, i)),
+    "long-power": (ref_long_path_rec, long_path_rec),
     "mixed": (ref_mixed_rec, mixed_rec),
     "corner": (ref_corner_rec, corner_rec),
 }
@@ -143,15 +142,15 @@ def ref_long_path_seq(n, s, t):
     return ref_long_path_row(row, s, t)[t]
 
 
-def ref_chain_terms(which, s, t, strict):
+def ref_chain_terms(which, s, t):
     """The head and the pair members, as (family, s, t), of a step at t >= 1."""
     if which == "mixed":
         return ("mixed", s + t, 0), [("corner", a, b) for a, b in mixed_chain_pairs(s, t)]
-    return ("mixed", s, 0), [("mixed", a, b) for a, b in corner_chain_pairs(s, t, strict=strict)]
+    return ("mixed", s, 0), [("mixed", a, b) for a, b in corner_chain_pairs(s, t)]
 
 
 @functools.cache
-def ref_chain_seq(which, n, s, t, strict):
+def ref_chain_seq(which, n, s, t):
     if s < 0 or t < 0:
         return ()
     if n == 2:
@@ -159,13 +158,13 @@ def ref_chain_seq(which, n, s, t, strict):
     if t == 0:
         return strip_zeros(reduced_power_betti(n, s, i)
                            for i in range(reduced_power_pd_reg(n, s)[0] + 1))
-    head, pairs = ref_chain_terms(which, s, t, strict)
-    return ref_add(ref_chain_seq(head[0], n - 1, *head[1:], strict),
-                   ref_one_plus_z(ref_add(*(ref_chain_seq(w, n - 1, a, b, strict)
+    head, pairs = ref_chain_terms(which, s, t)
+    return ref_add(ref_chain_seq(head[0], n - 1, *head[1:]),
+                   ref_one_plus_z(ref_add(*(ref_chain_seq(w, n - 1, a, b)
                                             for w, a, b in pairs))))
 
 
-def ref_chain_members(which, n, s, t, strict):
+def ref_chain_members(which, n, s, t):
     """Every (n, family, s, t) the chain recursion of one member reaches,
     the member itself included."""
     seen, todo = set(), [(n, which, s, t)]
@@ -175,7 +174,7 @@ def ref_chain_members(which, n, s, t, strict):
             seen.add(member)
             size, w, a, b = member
             if size > 2 and a >= 0 and b > 0:
-                head, pairs = ref_chain_terms(w, a, b, strict)
+                head, pairs = ref_chain_terms(w, a, b)
                 todo.extend((size - 1, *m) for m in (head, *pairs))
     return seen
 
@@ -249,10 +248,15 @@ class TestMixedCornerRec:
 
     def test_strict_delta_shifts_corner_count(self):
         # the closed-form multiset over-counts the s=0 corner families by one
-        # generator; the chain multiset matches the true generator count
+        # generator; the chain multiset matches the true generator count.
+        # beta_0 of one corner-chain step at n = 4 is the head's plus each
+        # pair's, read off the recursion one size down
+        def step(t, strict):
+            pairs = [chain_pair(0, t, t, "corner"), *corner_chain_pairs(0, t, strict=strict)]
+            return sum(mixed_rec(3, a, b, 0) for a, b in pairs)
         for t in (1, 2, 3):
-            assert corner_rec(4, 0, t, 0) == t + 1
-            assert corner_rec(4, 0, t, 0, strict_delta=True) == t + 2
+            assert corner_rec(4, 0, t, 0) == step(t, False) == t + 1
+            assert step(t, True) == t + 2
 
 
 class TestComposedSupport:
@@ -337,7 +341,7 @@ class TestCacheHygiene:
     def test_clear_caches_empties_every_recursion_memo(self):
         mixed_seq(12, 3, 3)
         mixed_seq(60, 12, 12)  # fills the 128-bit memo too
-        corner_seq(12, 3, 3, strict_delta=True)
+        corner_seq(12, 3, 3)
         long_path_seq(12, 2, 3)
         short_path_betti(9, 2, 3, 1)
         short_path_pd_rec(9, 2, 3)
@@ -347,12 +351,12 @@ class TestCacheHygiene:
         assert {"_chain_memo", "_chain_seq", "_long_path_seq", "short_path_seq",
                 "short_path_pd_rec"} <= set(memos)
         assert all(memo.cache_info().currsize > 0 for memo in memos.values())
-        widths = [(64, False), (128, False), (64, True)]
-        assert all(recursion._chain_memo(*key) for key in widths)
+        widths = [64, 128]
+        assert all(recursion._chain_memo(width) for width in widths)
         clear_caches()
         assert {name: memo.cache_info().currsize for name, memo in memos.items()} == \
             dict.fromkeys(memos, 0)
-        assert all(not recursion._chain_memo(*key) for key in widths)
+        assert all(not recursion._chain_memo(width) for width in widths)
 
     def test_clear_caches_empties_every_formulas_memo(self):
         short_path_betti(9, 2, 3, 1)
@@ -404,14 +408,14 @@ class TestCacheHygiene:
             listed.append(missing(*args))
             return listed[-1]
 
-        def stepping(below, n, member, strict, width):
+        def stepping(below, n, member, width):
             evaluated.append((n, *member))
-            return step(below, n, member, strict, width)
+            return step(below, n, member, width)
 
         clear_caches()
         try:
             mixed_seq(12, 8, 8)
-            memo = recursion._chain_memo(64, False)
+            memo = recursion._chain_memo(64)
             held = {(size, *member) for size, level in memo.items() for member in level}
             monkeypatch.setattr(recursion, "_missing", listing)
             monkeypatch.setattr(recursion, "_chain_step", stepping)
@@ -419,16 +423,16 @@ class TestCacheHygiene:
             (levels,) = listed
             names = {(13 - k, *member) for k, level in enumerate(levels) for member in level}
             assert len(evaluated) == len(set(evaluated))
-            assert set(evaluated) == names == ref_chain_members("mixed", 13, 8, 8, False) - held
+            assert set(evaluated) == names == ref_chain_members("mixed", 13, 8, 8) - held
             assert 0 < len(names) < len(held)
             # a repeated request, and one for a member the memo holds, evaluate none
             listed.clear()
             evaluated.clear()
-            assert mixed_seq(13, 8, 8) == seq == ref_chain_seq("mixed", 13, 8, 8, False)
+            assert mixed_seq(13, 8, 8) == seq == ref_chain_seq("mixed", 13, 8, 8)
             assert listed == evaluated == []
             held_corner = next(m for m in memo[12] if m[0] == "corner" and min(m[1:]) > 0)
             assert corner_seq(12, *held_corner[1:]) == \
-                ref_chain_seq("corner", 12, *held_corner[1:], False)
+                ref_chain_seq("corner", 12, *held_corner[1:])
             assert listed == [[]] and evaluated == []
         finally:
             clear_caches()
@@ -457,35 +461,34 @@ class TestSequenceRecursion:
 
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(sorted(REFERENCE)), n=st.integers(-1, 8),
-           s=st.integers(-2, 5), t=st.integers(-2, 5), strict=st.booleans())
-    def test_equals_per_entry_reference(self, kind, n, s, t, strict):
+           s=st.integers(-2, 5), t=st.integers(-2, 5))
+    def test_equals_per_entry_reference(self, kind, n, s, t):
         ref, new = REFERENCE[kind]
         if n < 2:
             for fn in (ref, new):
                 with pytest.raises(ValueError):
-                    fn(n, s, t, 0, strict)
+                    fn(n, s, t, 0)
             return
         for i in range(-2, n + 3):
-            assert new(n, s, t, i, strict) == ref(n, s, t, i, strict), (kind, n, s, t, i)
+            assert new(n, s, t, i) == ref(n, s, t, i), (kind, n, s, t, i)
 
     def test_chain_sequences_equal_tuple_reference(self):
         # every request order, each from cold memos, gives the same sequences
-        requests = [(which, n, s, t, strict) for strict in (False, True)
-                    for n in range(2, 31) for s in range(9) for t in range(9)
-                    for which in ("mixed", "corner")]
+        requests = [(which, n, s, t) for n in range(2, 31) for s in range(9)
+                    for t in range(9) for which in ("mixed", "corner")]
         shuffled = random.Random(2026).sample(requests, len(requests))
         sequences = {"mixed": mixed_seq, "corner": corner_seq}
         for order in (requests, requests[::-1], shuffled):
             # entries of 84 bits: this one fills part of the 64-bit memo
             # before it overflows, then is recomputed at 128-bit fields
-            order = order[:len(order) // 2] + [("mixed", 58, 12, 12, False)] + \
+            order = order[:len(order) // 2] + [("mixed", 58, 12, 12)] + \
                 order[len(order) // 2:]
             clear_caches()
             try:
-                for which, n, s, t, strict in order:
-                    assert sequences[which](n, s, t, strict) == \
-                        ref_chain_seq(which, n, s, t, strict), (which, n, s, t, strict)
-                assert recursion._chain_memo(128, False)
+                for which, n, s, t in order:
+                    assert sequences[which](n, s, t) == ref_chain_seq(which, n, s, t), \
+                        (which, n, s, t)
+                assert recursion._chain_memo(128)
             finally:
                 clear_caches()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclebetti import formulas, recursion, verify
+from cyclebetti import families, formulas, recursion, verify
 from cyclebetti.families import cycle_path_ideal
 from cyclebetti.monomials import Monomial, MonomialIdeal, variable
 from cyclebetti.oracle import LatticeCapError, graded_betti, lcm_lattice
@@ -361,6 +361,14 @@ def _delta_edge_off(monkeypatch):
     return run_suite("delta-edge")
 
 
+def _strict_multiset_as_chain(monkeypatch):
+    # the strict multiset made equal to the chain one no longer over-counts
+    real = families.corner_chain_pairs
+    monkeypatch.setattr(families, "corner_chain_pairs",
+                        lambda s, t, strict=False: real(s, t))
+    return run_suite("delta-edge")
+
+
 def _chain_intersection_off(monkeypatch):
     # the first-generator splits build their parts with verify.variable, so
     # it is patched only once they are done; the chain checks read it per call
@@ -390,12 +398,14 @@ class TestOneWitnessShape:
         (_m2_non_splitting, "m^2 (p=32003)", [1], ["total", "split"]),
         (_delta_edge_off, "delta edge default corner(n=4,t=2)", [4, 0, 2, 0],
          ["recursion", "oracle", "generators"]),
+        (_strict_multiset_as_chain, "delta edge strict over-counts corner(n=4,t=2)",
+         [4, 0, 2, 0], ["recursion", "oracle", "generators"]),
         (_chain_intersection_off, "mixed chain intersection n=4 s=0 t=1 j=0", [],
          ["meet", "xn * piece"]),
         (_envelope_empty, "composed support inside envelope", [0, 1],
          ["outside envelope", "none"]),
-    ], ids=["example-row", "oracle-audit", "splitting", "delta-edge", "chain-intersection",
-            "containment"])
+    ], ids=["example-row", "oracle-audit", "splitting", "delta-edge",
+            "delta-edge-strict", "chain-intersection", "containment"])
     def test_first_mismatch(self, monkeypatch, mismatch, case, at, routes):
         report = next(r for r in mismatch(monkeypatch) if not r.ok)
         assert report.case == case
