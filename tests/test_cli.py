@@ -257,6 +257,28 @@ class TestTableCommand:
                               "recursion", "--format", "csv")
         assert chain.splitlines()[1] == "0,2,3"
 
+    @pytest.mark.parametrize("expr, route, first_row", [
+        ("I(5)^2", "recursion", "0,6,15"),
+        ("I(5)^2", "formula", "0,6,15"),
+        ("I(5)^2", "oracle", "0,6,15"),
+        ("m(x1,x4)^2", "oracle", "0,2,3"),
+        ("Jc(5,4)^2", "recursion", "0,8,15"),
+        ("Jc(5,4)^2", "formula", "0,8,15"),
+    ], ids=["mixed-recursion", "mixed-formula", "mixed-oracle",
+            "corner-oracle", "long-power-recursion", "long-power-formula"])
+    def test_strict_delta_where_it_applies(self, capsys, expr, route, first_row):
+        # the flag is gone from every route: each refuses it, and each
+        # answers the chain row without it (the strict recursion's
+        # I(5)^2 row was 0,6,16)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["table", expr, "--route", route, "--format", "csv", "--strict-delta"])
+        assert exit_info.value.code == 2, (expr, route)
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "cyclebetti: error: unrecognized arguments: --strict-delta"
+        code, out, err = run_cli(capsys, "table", expr, "--route", route, "--format", "csv")
+        assert code == 0 and err == "", (expr, route)
+        assert out.splitlines()[1] == first_row, (expr, route)
+
 
 class TestBadCharacteristic:
     @pytest.mark.parametrize("argv", [
@@ -288,16 +310,14 @@ class TestBadCharacteristic:
         assert err.splitlines()[-1].startswith(f"cyclebetti {argv[0]}: error: argument {argv[-2]}:")
 
     @pytest.mark.parametrize("argv", [
-        ("table", "m(x1,x4)^2", "--route", "recursion"),
-        ("table", "I(5)^2", "--route", "formula"),
-        ("table", "m(x1,x4)^2", "--route", "oracle"),
         ("pd", "m(x1,x4)^2", "--route", "recursive"),
         ("split", "m(x1,x2)", "m(x1)", "m(x2)"),
         ("verify", "delta-edge"),
-    ], ids=["table-recursion", "table-formula", "table-oracle", "pd", "split", "verify"])
+    ], ids=["pd", "split", "verify"])
     def test_refuses_strict_delta(self, capsys, argv):
-        # no command has the flag: the strict corner multiset is read by
-        # verify delta-edge alone
+        # no command has the flag (table's refusals are checked with its
+        # routes above): the strict corner multiset is read by verify
+        # delta-edge alone
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--strict-delta"])
         assert exit_info.value.code == 2
