@@ -10,11 +10,14 @@ Two path-ideal families recur throughout:
   coupling both recursions run on.
 
 The mixed family reduced^s * full^t and the corner family
-reduced^s * (x1,xn)^t decompose along the xn-grading.  chain_pair names the
-smaller family behind each piece; the graded components, their partial tail
-sums and the index-pair sets the recursions run on are built from it.
+reduced^s * (x1,xn)^t decompose along the xn-grading.  chain_runs names the
+smaller family behind each piece; chain_pair, the graded components, their
+partial tail sums and the index-pair sets the recursions run on are built
+from it.
 """
 from __future__ import annotations
+
+from itertools import islice, repeat
 
 from .monomials import Monomial, MonomialIdeal, variable
 
@@ -92,17 +95,32 @@ def _check_st(n, s, t):
         raise ValueError("exponents must be nonnegative")
 
 
-def chain_pair(s: int, t: int, d: int, family: str) -> tuple[int, int]:
-    """(a, b) for piece d of the mixed or corner chain: the piece is
-    f1^max(s-d, 0) * x1^max(t-d, 0) (corner only) * reduced(n-1)^a * B^b, with
-    B = (f1, f2) (mixed) or (f1) + x1 * reduced(n-1) (corner), so its Betti
-    numbers are those of the other family's member (a, b) in ambient n-1.
-    The top piece, d = s + t, is a t = 0 member."""
+def chain_runs(s: int, t: int, family: str):
+    """The index map of the mixed or corner chain: (a_run, b_run), two
+    iterables whose zip yields the pair (a, b) of piece d for d = 0..s+t.
+
+    Piece d is f1^max(s-d, 0) * x1^max(t-d, 0) (corner only) *
+    reduced(n-1)^a * B^b, with B = (f1, f2) (mixed) or (f1) + x1 * reduced(n-1)
+    (corner), so its Betti numbers are those of the other family's member
+    (a, b) in ambient n-1.  The top piece, d = s + t, is a t = 0 member.
+    Over d the pairs are runs, so each coordinate is a map of min or max over
+    ranges: mixed (d, min(t, s+t-d)), corner (max(d-t, 0), min(d, s, t, s+t-d)).
+    """
+    ds = range(s + t + 1)
     if family == "mixed":
-        return d, min(t, s + t - d)
+        return ds, map(min, repeat(t), reversed(ds))
     if family == "corner":
-        return max(d - t, 0), min(d, s, t, s + t - d)
+        return (map(max, range(-t, s + 1), repeat(0)),
+                map(min, ds, repeat(min(s, t)), reversed(ds)))
     raise ValueError(f"unknown family {family!r}")
+
+
+def chain_pair(s: int, t: int, d: int, family: str) -> tuple[int, int]:
+    """(a, b) of piece d of the mixed or corner chain; see chain_runs."""
+    runs = chain_runs(s, t, family)
+    if not 0 <= d <= s + t:
+        raise ValueError(f"chain index d={d} outside 0..{s + t}")
+    return next(islice(zip(*runs), d, None))
 
 
 def graded_component(n: int, s: int, t: int, d: int, family: str) -> MonomialIdeal:
@@ -168,7 +186,7 @@ def mixed_chain_pairs(s: int, t: int) -> list[tuple[int, int]]:
     reduce to (ambient drops by one).  Needs t >= 1; length is s + t."""
     if t < 1:
         raise ValueError("mixed chain pairs need t >= 1")
-    return [chain_pair(s, t, d, "mixed") for d in range(s + t)]
+    return list(islice(zip(*chain_runs(s, t, "mixed")), s + t))
 
 
 def corner_chain_pairs(s: int, t: int, strict: bool = False) -> list[tuple[int, int]]:
@@ -190,7 +208,7 @@ def corner_chain_pairs(s: int, t: int, strict: bool = False) -> list[tuple[int, 
         return ([(0, j) for j in range(t + 1)]
                 + [(j, t) for j in range(1, s - t + 1)]
                 + [(s - t + j, t - j) for j in range(1, t)])
-    return [chain_pair(s, t, d, "corner") for d in range(s + t)]
+    return list(islice(zip(*chain_runs(s, t, "corner")), s + t))
 
 
 def support_envelope(s: int, t: int) -> set[tuple[int, int]]:

@@ -14,25 +14,30 @@ clear.  A step adds at most 1 + 2P stored values (P chain pairs, or three
 terms of a long-path row); while 1 + 2P < 2^(W // 8) every field of the
 sum stays below 2^W, so no carry crosses a field and the packed sum is the
 entry-wise sum exactly.  One AND with the guard mask re-checks the
-invariant after each step.  When it fails, or a leaf entry is too large,
-the whole requested sequence is recomputed at width 2W, starting at
-W = 64; no value computed at one width is read at another, and each width
-keeps its own memo.  Nothing is
-subtracted, so a negative entry can enter only through a leaf, and packing
-refuses it there.
+invariant after each step.  Both recursions run bottom-up over the cycle
+size from W = 64, and both widen by one carry rule: when a step at size k
+fails the check, has too many terms for the guards, or packs a leaf entry
+that does not fit, the values of size k - 1 are moved exactly into fields
+of 2W bits (_repack) and evaluation goes on from size k at 2W.  No size
+below k is evaluated again, because a step at size k reads size k - 1
+only.  Nothing is subtracted, so a negative entry can enter only through
+a leaf, and packing refuses it there.
 
 Two recursions live here.  The long-path recursion computes the sequence of
 long(n-1)^s * long(n)^t from the splitting off the first generator; it runs
 bottom-up over n in a plain loop.  The mixed/corner recursion is mutual:
 each mixed-chain step contributes corner families one cycle size down, and
 each corner-chain step mixed families one size down, until t = 0, where
-reduced(n)^s is formulas.long_power_seq(n-1, s).  Its memo holds the packed
-sequence of every member evaluated so far, one memo per field width, so a
-member is evaluated once per width however many requests reach it.  A
-request first lists, size by size from its own down, only the members that
-width's memo lacks: the descent stops at each member the memo holds.  It
-then evaluates them from the smallest size up, so neither recursion's
-Python stack grows with n.
+reduced(n)^s is formulas.long_power_seq(n-1, s).  A step's members are read
+off the runs of families.chain_runs.  Its memo holds the packed sequence of
+every member evaluated so far, one memo per field width, so a member is
+evaluated once per width however many requests reach it.  A request first
+lists, size by size from its own down, only the members that width's memo
+lacks: the descent stops at each member the memo holds.  It then evaluates
+them from the smallest size up, so neither recursion's Python stack grows
+with n.  On an overflow at size k the request carries every member the
+memo holds at size k - 1 into the 2W memo and lists again at 2W; that
+listing stops at size k - 1, so only sizes from k up are evaluated again.
 
 long_path_rec, mixed_rec and corner_rec are index lookups into the cached
 sequences.  The recursions are pure; the caches only affect speed, never
@@ -44,17 +49,18 @@ import math
 import sys
 from collections import Counter, defaultdict
 from functools import cache
+from itertools import repeat
 
-from .families import chain_pair, corner_chain_pairs, mixed_chain_pairs
+from .families import chain_runs, corner_chain_pairs, mixed_chain_pairs
 from .formulas import long_power_seq, seq_entry
 
 Seq = tuple[int, ...]
 
-_FIRST_WIDTH = 64  # bits per field; doubled until every field fits
+_FIRST_WIDTH = 64  # bits per field; doubled at each overflow
 
 
 class _FieldOverflow(Exception):
-    """A field reached its guard bits: recompute at twice the width."""
+    """A field reached its guard bits: go on at twice the width."""
 
 
 def _pack(seq: Seq, width: int, which: str, n: int, s: int, t: int) -> int:
@@ -87,22 +93,24 @@ def _guarded(packed: int, width: int) -> int:
     return packed
 
 
-def _unpack(packed: int, width: int) -> Seq:
-    """The stripped sequence of a packed integer: its top field is nonzero."""
+def _fields(packed: int, width: int) -> list[bytes]:
+    """The fields of a packed integer as little-endian bytes, up to its top
+    nonzero one."""
     size = width // 8
     raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    return tuple(int.from_bytes(raw[i:i + size], "little")
-                 for i in range(0, len(raw), size))
+    return [raw[i:i + size] for i in range(0, len(raw), size)]
 
 
-def _widening(packed_at):
-    """The stripped sequence of packed_at(width) at the first width that fits."""
-    width = _FIRST_WIDTH
-    while True:
-        try:
-            return _unpack(packed_at(width), width)
-        except _FieldOverflow:
-            width *= 2
+def _unpack(packed: int, width: int) -> Seq:
+    """The stripped sequence of a packed integer: its top field is nonzero."""
+    return tuple(int.from_bytes(field, "little") for field in _fields(packed, width))
+
+
+def _repack(packed: int, width: int) -> int:
+    """The same sequence as packed, moved from width-bit fields to fields of
+    twice the width: each field's bytes followed by as many zero bytes.  A
+    field that kept its guards clear at width keeps them clear at 2 * width."""
+    return int.from_bytes(bytes(width // 8).join(_fields(packed, width)), "little")
 
 
 def clear_caches() -> None:
@@ -147,15 +155,18 @@ def _long_path_row(below: list[int], s: int, t: int, width: int) -> list[int]:
 
 @cache
 def _long_path_seq(n: int, s: int, t: int) -> Seq:
-    def packed_at(width):
-        # L(2, 0, u) = (u+1, u); at n = 2 the sequence is (t+1, t) for every s
-        row = [_pack((u + 1, u), width, "long-path", 2, 0, u) for u in range(s + t + 1)]
-        if n == 2:
-            return row[t]
-        for _ in range(3, n):
-            row = _long_path_row(row, 0, s + t, width)
-        return _long_path_row(row, s, t, width)[t]
-    return _widening(packed_at)
+    width, row, size = _FIRST_WIDTH, [], 2
+    while size <= n:
+        try:
+            if size == 2:  # L(2, 0, u) = (u+1, u), whatever s is
+                row = [_pack((u + 1, u), width, "long-path", 2, 0, u) for u in range(s + t + 1)]
+            else:  # L(size, 0, 0..s+t) below n, L(n, s, 0..t) at n
+                row = _long_path_row(row, *((s, t) if size == n else (0, s + t)), width)
+            size += 1
+        except _FieldOverflow:  # carry the row of size - 1 to 2W and retry this size
+            row = [_repack(packed, width) for packed in row]
+            width *= 2
+    return _unpack(row[t], width)
 
 
 def long_path_rec(n: int, s: int, t: int, i: int) -> int:
@@ -183,20 +194,22 @@ def _chain_terms(which: str, s: int, t: int):
     """Members one size down that a chain step at t >= 1 sums.
 
     Returns (head, pairs): the step's sequence is head + (1+z) * sum(pairs),
-    each member given as (family, s, t).  The head, the top piece's t = 0
-    member, is named "mixed" from both families so they share cache entries.
+    each member given as (family, s, t) and interned, read off the chain's
+    runs in one map.  The head, the top piece's t = 0 member, is named
+    "mixed" from both families so they share cache entries.
     """
-    head = _member("mixed", *chain_pair(s, t, s + t, which))
-    if which == "mixed":
-        return head, tuple(_member("corner", a, b) for a, b in mixed_chain_pairs(s, t))
-    return head, tuple(_member("mixed", a, b) for a, b in corner_chain_pairs(s, t))
+    other = "corner" if which == "mixed" else "mixed"
+    *pairs, (_, a, b) = map(_member, repeat(other), *chain_runs(s, t, which))
+    return _member("mixed", a, b), tuple(pairs)
 
 
 @cache
 def _chain_memo(width: int) -> defaultdict[int, dict]:
     """The mutual recursion's memo at one field width: cycle size n ->
-    {(family, s, t): packed sequence}.  A cached factory, so clear_caches
-    drops every width's memo with the other caches."""
+    {(family, s, t): packed sequence}.  A member enters it when evaluated at
+    this width, or repacked from the memo of half the width when a request
+    overflowed there one size up.  A cached factory, so clear_caches drops
+    every width's memo with the other caches."""
     return defaultdict(dict)
 
 
@@ -242,15 +255,22 @@ def _missing(which: str, n: int, s: int, t: int, memo: defaultdict) -> list[set]
 
 @cache
 def _chain_seq(which: str, n: int, s: int, t: int) -> Seq:
-    def packed_at(width):
+    width = _FIRST_WIDTH
+    while True:
         memo = _chain_memo(width)
         levels = _missing(which, n, s, t, memo)
-        for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
-            here, below = memo[size], memo[size - 1]
-            for member in members:
-                here[member] = _chain_step(below, size, member, width)
-        return memo[n][which, s, t]
-    return _widening(packed_at)
+        try:
+            for size, members in zip(range(n - len(levels) + 1, n + 1), reversed(levels)):
+                here, below = memo[size], memo[size - 1]
+                for member in members:
+                    here[member] = _chain_step(below, size, member, width)
+        except _FieldOverflow:  # carry the level of size - 1 to 2W, list again
+            wider = _chain_memo(2 * width)[size - 1]
+            wider.update({member: _repack(packed, width)
+                          for member, packed in below.items() if member not in wider})
+            width *= 2
+        else:
+            return _unpack(memo[n][which, s, t], width)
 
 
 def mixed_seq(n: int, s: int, t: int) -> Seq:

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclebetti import formulas, recursion
-from cyclebetti.families import (chain_pair, corner_chain_pairs, corner_power,
-                                 mixed_chain_pairs, mixed_power,
+from cyclebetti.families import (chain_pair, chain_runs, corner_chain_pairs,
+                                 corner_power, mixed_chain_pairs, mixed_power,
                                  support_envelope)
 from cyclebetti.formulas import (long_path_betti, reduced_power_betti,
                                  reduced_power_pd_reg, short_path_betti,
@@ -480,7 +480,8 @@ class TestSequenceRecursion:
         sequences = {"mixed": mixed_seq, "corner": corner_seq}
         for order in (requests, requests[::-1], shuffled):
             # entries of 84 bits: this one fills part of the 64-bit memo
-            # before it overflows, then is recomputed at 128-bit fields
+            # before it overflows, then goes on at 128-bit fields from the
+            # level below the overflow, carried from the 64-bit memo
             order = order[:len(order) // 2] + [("mixed", 58, 12, 12)] + \
                 order[len(order) // 2:]
             clear_caches()
@@ -511,16 +512,22 @@ class TestSequenceRecursion:
     ])
     def test_entries_past_the_first_width_widen(self, monkeypatch, sequence, closed, bits):
         # a 64-bit field holds 56 bits below its guard bits, so each of
-        # these sequences is recomputed at a wider field
+        # these sequences continues at a wider field; the widths are read
+        # where leaves are packed and where steps are guarded
         widths = set()
-        pack = recursion._pack
+        pack, guarded = recursion._pack, recursion._guarded
 
-        def spy(seq, width, *where):
+        def spy_pack(seq, width, *where):
             widths.add(width)
             return pack(seq, width, *where)
 
+        def spy_guarded(packed, width):
+            widths.add(width)
+            return guarded(packed, width)
+
         clear_caches()
-        monkeypatch.setattr(recursion, "_pack", spy)
+        monkeypatch.setattr(recursion, "_pack", spy_pack)
+        monkeypatch.setattr(recursion, "_guarded", spy_guarded)
         try:
             seq = sequence()
         finally:
@@ -608,3 +615,162 @@ class TestSequenceRecursion:
                 corner_rec(5, 1, 1, 0)
         finally:
             clear_caches()
+
+
+def ref_chain_pair(s, t, d, family):
+    """The chain index map as one expression per family, as it was written
+    before the runs."""
+    if family == "mixed":
+        return d, min(t, s + t - d)
+    return max(d - t, 0), min(d, s, t, s + t - d)
+
+
+class TestChainRuns:
+    def test_runs_are_the_index_map(self):
+        for family in ("mixed", "corner"):
+            for s in range(41):
+                for t in range(1, 41):
+                    want = [ref_chain_pair(s, t, d, family) for d in range(s + t + 1)]
+                    assert list(zip(*chain_runs(s, t, family))) == want, (family, s, t)
+                    assert [chain_pair(s, t, d, family) for d in range(s + t + 1)] == want
+
+    def test_chain_pair_refuses_an_index_off_the_chain(self):
+        for d in (-1, 7):
+            with pytest.raises(ValueError, match=f"chain index d={d} outside 0..6"):
+                chain_pair(2, 4, d, "corner")
+
+    def test_chain_terms_are_the_runs_interned(self):
+        clear_caches()
+        try:
+            interned = {}
+            for which in ("mixed", "corner"):
+                other = "corner" if which == "mixed" else "mixed"
+                for s in range(41):
+                    for t in range(1, 41):
+                        head, pairs = recursion._chain_terms(which, s, t)
+                        runs = list(zip(*chain_runs(s, t, which)))
+                        assert head == ("mixed", *runs[-1])
+                        assert pairs == tuple((other, a, b) for a, b in runs[:-1])
+                        for member in (head, *pairs):
+                            assert interned.setdefault(member, member) is member
+        finally:
+            clear_caches()
+
+
+class TestWideningResumes:
+    """An overflow at size k carries the level of size k - 1 to twice the
+    width and goes on from size k; nothing below k is evaluated again."""
+
+    def test_an_overflow_evaluates_again_only_its_own_size(self, monkeypatch):
+        steps, overflows, listed = [], [], []
+        step, missing = recursion._chain_step, recursion._missing
+
+        def stepping(below, n, member, width):
+            steps.append((n, member))
+            try:
+                return step(below, n, member, width)
+            except recursion._FieldOverflow:
+                overflows.append((n, width))
+                raise
+
+        def listing(*args):
+            listed.append(missing(*args))
+            return listed[-1]
+
+        clear_caches()
+        monkeypatch.setattr(recursion, "_chain_step", stepping)
+        monkeypatch.setattr(recursion, "_missing", listing)
+        try:
+            seq = mixed_seq(58, 12, 12)  # entries of 84 bits
+        finally:
+            clear_caches()
+        members = ref_chain_members("mixed", 58, 12, 12)
+        assert len(members) == 1810 and len(set(steps)) == len(members)
+        ((size, width),) = overflows
+        assert width == 64
+        at_overflow = listed[0][58 - size]
+        assert len(steps) <= len(members) + len(at_overflow)
+        # at 128 bits the listing stops at the overflowing size
+        assert len(listed) == 2 and len(listed[1]) == 58 - size + 1
+        assert seq == ref_chain_seq("mixed", 58, 12, 12)
+
+    def test_requests_widen_from_warm_memos_in_any_order(self, monkeypatch):
+        # at 16-bit fields a step may sum one pair, at 32 bits seven, so
+        # nearly every request widens; the large ones widen to 128 bits
+        widths = (16, 32, 64, 128, 256)
+        walks, missing = [], recursion._missing
+
+        def listing(which, n, s, t, memo):
+            walks[-1].append(next(w for w in widths if recursion._chain_memo(w) is memo))
+            return missing(which, n, s, t, memo)
+
+        requests = [(which, n, s, t) for n in range(2, 19, 4) for s in range(0, 9, 2)
+                    for t in range(0, 9, 3) for which in ("mixed", "corner")]
+        requests += [("mixed", 58, 12, 12), ("corner", 60, 12, 12), ("mixed", 62, 12, 12),
+                     ("corner", 40, 6, 9), ("mixed", 40, 30, 0)]
+        sequences = {"mixed": mixed_seq, "corner": corner_seq}
+        monkeypatch.setattr(recursion, "_FIRST_WIDTH", 16)
+        monkeypatch.setattr(recursion, "_missing", listing)
+        for seed in (1, 2, 3):
+            order = random.Random(seed).sample(requests, len(requests))
+            walks.clear()
+            clear_caches()
+            try:
+                for which, n, s, t in order:
+                    walks.append([])
+                    assert sequences[which](n, s, t) == ref_chain_seq(which, n, s, t), \
+                        (which, n, s, t)
+                assert all(recursion._chain_memo(w) for w in widths[:4])
+            finally:
+                clear_caches()
+            assert sum(walk == [16, 32, 64, 128] for walk in walks) > 1, walks
+            assert all(walk == widths[:len(walk)] for walk in map(tuple, walks))
+
+    @settings(max_examples=200, deadline=None)
+    @given(width=st.sampled_from([16, 32, 64, 128, 256]), data=st.data())
+    def test_repack_moves_a_sequence_to_twice_the_width(self, width, data):
+        top = (1 << (width - width // 8)) - 1  # the largest value a field may hold
+        entries = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+        seq = strip_zeros(data.draw(st.lists(entries, max_size=12)))
+        packed = recursion._pack(seq, width, "mixed", 5, 1, 0)
+        wider = recursion._repack(packed, width)
+        assert recursion._guarded(wider, 2 * width) == wider
+        assert recursion._unpack(wider, 2 * width) == seq
+        assert (wider == 0) == (seq == ())
+
+    def test_long_path_overflow_resumes_at_its_size(self, monkeypatch):
+        # entries of 76 bits: one size's row overflows the 64-bit fields,
+        # and the rows go on at 128 bits from that size
+        builds, row, packed = [], recursion._long_path_row, []
+        pack = recursion._pack
+
+        def building(below, s, t, width):
+            try:
+                out = row(below, s, t, width)
+            except recursion._FieldOverflow:
+                builds.append((width, False))
+                raise
+            builds.append((width, True))
+            return out
+
+        def packing(seq, width, *where):
+            packed.append(width)
+            return pack(seq, width, *where)
+
+        clear_caches()
+        monkeypatch.setattr(recursion, "_long_path_row", building)
+        monkeypatch.setattr(recursion, "_pack", packing)
+        try:
+            seq = long_path_seq(100, 0, 16)
+        finally:
+            clear_caches()
+        # the builds, in order, are of sizes 3..100, each until one fits
+        size, built = 3, []
+        for width, fitted in builds:
+            built.append((size, width))
+            size += fitted
+        assert size == 101 and len(built) == len(set(built)) == 98 + 1
+        assert [width for _, width in built] == sorted(width for _, width in built)
+        assert {width for _, width in built} == {64, 128}
+        assert set(packed) == {64}  # the leaves of size 2 are packed once
+        assert seq == ref_long_path_seq(100, 0, 16)

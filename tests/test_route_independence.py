@@ -46,7 +46,7 @@ def test_formulas_imports_nothing_from_the_package():
 def test_recursion_reads_only_the_leaf_and_the_chain_maps():
     assert package_imports(inspect.getsource(recursion)) == {
         "formulas": {"long_power_seq", "seq_entry"},
-        "families": {"chain_pair", "mixed_chain_pairs", "corner_chain_pairs"},
+        "families": {"chain_runs", "mixed_chain_pairs", "corner_chain_pairs"},
     }
 
 
