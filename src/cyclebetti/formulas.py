@@ -4,8 +4,10 @@ Everything here is exact integer arithmetic.  Binomials follow the counting
 convention: binomial(a, b) = 0 whenever b < 0, a < b, or a < 0, so the sums
 below silently vanish outside their natural ranges.
 
-Each closed form is evaluated in one place, as a cached whole sequence
-(long_power_seq, short_path_seq) that the per-entry functions read.
+Each closed form is evaluated in one place.  long_power_seq is a cached
+whole sequence; the mixed closed form is summed by short_path_window, for
+any window of entries lo..hi, whose cached head 0..n is short_path_seq.
+The per-entry functions read these.
 """
 from __future__ import annotations
 
@@ -58,7 +60,9 @@ def reduced_power_betti(n: int, s: int, i: int) -> int:
 
 
 def short_path_betti_parts(n: int, s: int, t: int, i: int) -> tuple[int, int, int]:
-    """(plus, minus, const) pieces of the closed form for the mixed family.
+    """(plus, minus, const) pieces of the closed form for the mixed family,
+    one entry at a time: the decomposition the demos print.  The values the
+    routes read are summed by short_path_window.
 
     The minus piece splits on the parity of n, with k = floor(n/2).  Negative
     s, t or i are evaluated as written: the sums are empty or vanish through
@@ -99,58 +103,75 @@ def _top(n: int, s: int, t: int) -> int:
     return max(2 * (s + max(t, 0)), min(n - 2, s))
 
 
-@cache
-def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
-    """The closed form of short_path_betti_parts summed, for i = 0..n at once.
+def short_path_window(n: int, s: int, t: int, lo: int, hi: int) -> list[int]:
+    """Entries lo..hi (0 <= lo) of the mixed closed form: plus - minus + const
+    of short_path_betti_parts at each i, as exact integers.
 
-    Entry i is plus - minus + const at i; trailing zeros are stripped, so
-    every index in 0..n past the tuple reads 0.  The sums are reindexed so
-    that each term is two list reads:
+    The sums are reindexed so that each term is two list reads:
 
         plus_i  = sum over m in [ceil(i/2), min(i, reach)] of C(n, 2m-i) D(m),
                   D(m) = C(n+s+t-1-m, n-1) - C(n+s-1-m, n-1)   (m = i - j);
-        minus_i = sum over j in [0, min((i-odd)//2, reach+k-n)] of
+        minus_i = sum over j in [max(0, ceil((i-odd-n)/2)),
+                                 min((i-odd)//2, reach+k-n)] of
                   C(n, i-odd-2j) E(j),
                   E(j) = C(s+t+k-1-j, n-1) - C(s+k-1-j, n-1).
 
-    The range stops at n, past the projective dimension of every valid
-    member, so the cost is O(n^2) per triple whatever s and t are; it stops
-    earlier at _top when every later term vanishes.  Negative s, t are
-    evaluated as written, as in short_path_betti_parts.
+    Every entry past _top is 0 and costs nothing.  Below it, C(n, r) is built
+    for r <= min(n, hi) only, and D and E only over the m and j the window
+    reads, so a window costs O((hi-lo+1) n) whatever s and t are: each sum
+    has at most n/2 + 1 terms, since C(n, r) vanishes for r > n.  Negative
+    s, t are evaluated as written, as in short_path_betti_parts.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if lo < 0:
+        raise ValueError("need lo >= 0")
+    values = [0] * max(hi - lo + 1, 0)
+    top = min(hi, _top(n, s, t))
+    if top < lo:
+        return values
     k, odd = n // 2, n % 2
     reach = s + max(t, 0)
-    top = min(_top(n, s, t), n)
-    choose = [math.comb(n, r) for r in range(top + 1)]
+    choose = [math.comb(n, r) for r in range(min(n, top) + 1)]
+    d0, e0 = (lo + 1) // 2, max(0, (lo - odd - n + 1) // 2)
     d = [binomial(n + s + t - 1 - m, n - 1) - binomial(n + s - 1 - m, n - 1)
-         for m in range(min(reach, top) + 1)]
+         for m in range(d0, min(top, reach, (top + n) // 2) + 1)]
     e = [binomial(s + t + k - 1 - j, n - 1) - binomial(s + k - 1 - j, n - 1)
-         for j in range(min(reach + k - n, (top - odd) // 2) + 1)]
-    values = [binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)  # const
-              for i in range(min(n - 2, s) + 1)]
-    values += [0] * (top + 1 - len(values))
-    for i in range(top + 1):
+         for j in range(e0, min((top - odd) // 2, reach + k - n) + 1)]
+    for i in range(lo, min(top, n - 2, s) + 1):  # const
+        values[i - lo] = binomial(n - 2, i) * binomial(n + s - i - 2, n - 2)
+    for i in range(lo, top + 1):
         # Each map pairs a run of D or E with the C(n, r) that step r by 2
-        # from its first term; every r stays in 0..i, so within choose.
-        hi = min(i, reach)
-        if (i + 1) // 2 <= hi:
-            values[i] += sum(map(mul, choose[i % 2::2], d[(i + 1) // 2:hi + 1]))
-        hi = min((i - odd) // 2, reach + k - n)
-        if hi >= 0:
-            values[i] -= sum(map(mul, choose[i - odd::-2], e[:hi + 1]))
-    return strip_zeros(values)
+        # from its first term, and the shorter run ends it: the d slice at
+        # m = min(i, reach), e at j = reach + k - n, the C(n, r) at
+        # r = min(n, top) for plus and at r = 0 for minus.
+        values[i - lo] += sum(map(mul, choose[i % 2::2], d[(i + 1) // 2 - d0:i - d0 + 1]))
+        if e and i >= odd:  # else the minus sum is empty
+            first = max(0, (i - odd - n + 1) // 2)  # the first j with r <= n
+            values[i - lo] -= sum(map(mul, choose[i - odd - 2 * first::-2], e[first - e0:]))
+    return values
+
+
+@cache
+def short_path_seq(n: int, s: int, t: int) -> tuple[int, ...]:
+    """The window 0..min(_top, n) of the mixed closed form, trailing zeros
+    stripped, so every index in 0..n past the tuple reads 0.
+
+    The range stops at n, past the projective dimension of every valid
+    member, so the cost is O(n^2) per triple whatever s and t are; it stops
+    earlier at _top when every later term vanishes.
+    """
+    return strip_zeros(short_path_window(n, s, t, 0, min(_top(n, s, t), n)))
 
 
 def short_path_betti(n: int, s: int, t: int, i: int) -> int:
     """i-th total Betti number of reduced^s * full^t, as a closed form.
 
     Entry i of short_path_seq for i <= n, 0 for negative i or i past _top,
-    and the summed short_path_betti_parts in between, so every i gets the
-    closed form as written.  Returned as a signed integer on purpose: the
-    value is a Betti number on valid parameters, so a negative result
-    signals a bug and must surface.
+    and the one-entry window at i in between, so every i gets the closed
+    form as written.  Returned as a signed integer on purpose: the value is
+    a Betti number on valid parameters, so a negative result signals a bug
+    and must surface.
     """
     if i <= n:
         return seq_entry(short_path_seq(n, s, t), i)
@@ -158,8 +179,14 @@ def short_path_betti(n: int, s: int, t: int, i: int) -> int:
         raise ValueError("need n >= 2")
     if i > _top(n, s, t):
         return 0
-    plus, minus, const = short_path_betti_parts(n, s, t, i)
-    return plus - minus + const
+    return _tail_entry(n, s, t, i)
+
+
+@cache
+def _tail_entry(n: int, s: int, t: int, i: int) -> int:
+    """The one-entry window at i, cached: the residual checks of the
+    recurrences read the same entries past n many times over."""
+    return short_path_window(n, s, t, i, i)[0]
 
 
 def long_path_pd_reg(n: int, t: int) -> tuple[int, int]:

@@ -349,8 +349,9 @@ def _lift(f, power: int):
     """Entry i of (1+z)^power times the sequence of f, one entry at a time.
 
     Both routes answer an entry up to n by a lookup into their cached
-    sequence, and the closed route one past n by at most about n terms, so
-    an entry of the lift is power+1 calls and no lifted sequence is built.
+    sequence, and the closed route one past n by a cached one-entry window
+    of at most about n terms, so an entry of the lift is power+1 calls and
+    no lifted sequence is built.
     """
     weights = [math.comb(power, k) for k in range(power + 1)]
 

@@ -14,6 +14,7 @@ import time
 from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from itertools import zip_longest
 
 from . import families, formulas, recursion
 from .monomials import MonomialIdeal, variable
@@ -49,23 +50,34 @@ def _timed(case: str, check) -> Report:
     return Report(case, status, witness, millis)
 
 
-def _disagreement(points, routes: dict) -> dict | None:
+def _disagreement(points, routes: dict, sequences: bool = False) -> dict | None:
     """The witness {at, routes, values} at the first point where the routes
     (name -> function of the point's arguments) differ, or None when they
-    agree at every point.  Each other route is compared with the first."""
+    agree at every point.  Each other route is compared with the first.
+
+    With sequences, each route returns a sequence of entries 0, 1, ... at a
+    point, and the witness is at the point followed by the first index where
+    the sequences differ; an entry past the end of a sequence reads 0.
+    """
     first, *others = routes.values()
     for point in points:
         want = first(*point)
         for route in others:
             if route(*point) != want:
-                return {"at": list(point), "routes": list(routes),
-                        "values": [str(route(*point)) for route in routes.values()]}
+                values = [route(*point) for route in routes.values()]
+                if not sequences:
+                    return {"at": list(point), "routes": list(routes),
+                            "values": [str(value) for value in values]}
+                for i, entries in enumerate(zip_longest(*values, fillvalue=0)):
+                    if entries.count(entries[0]) < len(entries):
+                        return {"at": [*point, i], "routes": list(routes),
+                                "values": [str(entry) for entry in entries]}
     return None
 
 
-def _agreement(case: str, points, routes: dict) -> Report:
+def _agreement(case: str, points, routes: dict, sequences: bool = False) -> Report:
     """The timed report of _disagreement; points are drawn inside the timing."""
-    return _timed(case, lambda: _disagreement(points, routes))
+    return _timed(case, lambda: _disagreement(points, routes, sequences))
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +370,33 @@ def _mixed_entries() -> dict:
     return {"recursion": recursion.mixed_rec, "closed": formulas.short_path_betti}
 
 
+def _padded(seq, size: int) -> list[int]:
+    """The first size entries of seq, padded with zeros to size."""
+    return [*seq[:size], *[0] * (size - len(seq))]
+
+
+def _member_entries() -> dict:
+    """Route name -> f(n, s, t), the entries 0..2(s+t)+2 of the mixed member,
+    read per call.  The closed route reads its cached head for 0..n and one
+    window of the closed form past n, which is 0 past formulas._top."""
+    def by_recursion(n, s, t):
+        return _padded(recursion.mixed_seq(n, s, t), 2 * (s + t) + 3)
+
+    def closed(n, s, t):
+        size = 2 * (s + t) + 3
+        head = _padded(formulas.short_path_seq(n, s, t), n + 1)
+        return _padded(head + formulas.short_path_window(n, s, t, n + 1, size - 1), size)
+
+    return {"recursion": by_recursion, "closed": closed}
+
+
 def suite_main_identity(cap: int, seed: int) -> Iterator[Report]:
     n_max, st_max = 12, 8
-    routes = _mixed_entries()
+    routes = _member_entries()
     for n in range(2, n_max + 1):
-        points = ((n, s, t, i) for s in range(st_max + 1) for t in range(st_max + 1)
-                  for i in range(2 * (s + t) + 3))
+        members = ((n, s, t) for s in range(st_max + 1) for t in range(st_max + 1))
         yield _agreement(f"main identity recursion==closed n={n} s,t<={st_max}",
-                         points, routes)
+                         members, routes, sequences=True)
 
 
 def suite_three_route(cap: int, seed: int) -> Iterator[Report]:
@@ -491,8 +522,7 @@ def suite_support_facts(cap: int, seed: int) -> Iterator[Report]:
         return recursion.composed_support(s, t)[(s + t - 2, 1)]
 
     def support_pd(n, s, t):
-        return max((i for i in range(n + 1) if formulas.short_path_betti(n, s, t, i) != 0),
-                   default=0)
+        return max(len(formulas.short_path_seq(n, s, t)) - 1, 0)
 
     yield _agreement("composed support multiplicity at (s+t-2, 1)",
                      ((total - t, t) for total in range(2, 13) for t in range(1, total + 1)),

@@ -13,7 +13,7 @@ from cyclebetti.formulas import (binomial, long_path_betti, long_path_pd_reg,
                                  reduced_power_pd_reg,
                                  series_betti, short_path_betti,
                                  short_path_betti_parts, short_path_pd_reg,
-                                 short_path_seq)
+                                 short_path_seq, short_path_window)
 from cyclebetti.oracle import graded_betti
 
 
@@ -210,9 +210,9 @@ def seq_entry(seq, i):
 
 
 class TestShortPathSeq:
-    """The whole-sequence kernel against the literal sums, entry by entry,
-    over negative parameters and past n, where short_path_betti answers
-    from the per-entry sums."""
+    """The cached head against the literal sums, entry by entry, over
+    negative parameters and past n, where short_path_betti answers from a
+    one-entry window."""
 
     @pytest.mark.parametrize("n", range(2, 30))
     def test_equals_literal_sums(self, n):
@@ -278,6 +278,71 @@ class TestShortPathSeq:
             short_path_seq(1, 0, 1)
         with pytest.raises(ValueError):
             short_path_betti(1, 0, 1, 0)
+
+
+class TestShortPathWindow:
+    """The window kernel: entries lo..hi of the closed form as written."""
+
+    @pytest.mark.parametrize("n", range(2, 30))
+    def test_windows_equal_literal_sums(self, n):
+        for s in range(-3, 9):
+            for t in range(-3, 9):
+                top = formulas._top(n, s, t)
+                end = max(top, n) + 3
+                want = [literal_short_path_betti(n, s, t, i) for i in range(end + 1)]
+                # the whole range, the head, windows that start past n, that
+                # cross n, that cross _top and that lie wholly past it, and
+                # every one-entry window
+                windows = [(0, end), (0, n), (n + 1, end), (n + 1, n + 1),
+                           (max(n - 2, 0), n + 2), (max(top - 1, 0), top + 2),
+                           (max(top + 1, 0), end), (n + 3, n + 2)]
+                windows += [(i, i) for i in range(end + 1)]
+                for lo, hi in windows:
+                    got = short_path_window(n, s, t, lo, hi)
+                    assert got == want[lo:hi + 1], (n, s, t, lo, hi)
+
+    def test_head_is_the_window_up_to_n(self):
+        for n in range(2, 12):
+            for s in range(4):
+                for t in range(4):
+                    head = short_path_window(n, s, t, 0, n)
+                    assert short_path_seq(n, s, t) == formulas.strip_zeros(head)
+
+    def test_negative_lo_refused(self):
+        with pytest.raises(ValueError):
+            short_path_window(5, 1, 1, -1, 3)
+        with pytest.raises(ValueError):
+            short_path_window(1, 1, 1, 0, 3)
+
+    @pytest.mark.parametrize("n, lo, hi", [(2, 3, 10), (3, 4, 9), (3, 7, 9), (4, 5, 8)])
+    def test_work_past_n_does_not_grow_with_exponents(self, monkeypatch, n, lo, hi):
+        # a window reads D(m) and E(j) only where C(n, r) can be nonzero, so
+        # it makes as many binomial calls at s = t = 2**31 as at s = t = 3
+        real, calls = formulas.binomial, []
+        monkeypatch.setattr(formulas, "binomial",
+                            lambda a, b: calls.append(1) or real(a, b))
+        counts = []
+        for s in (3, 2**31):
+            calls.clear()
+            short_path_window(n, s, s, lo, hi)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 4 * (hi - lo + 1 + n)
+
+    def test_head_builds_no_binomial_past_top(self, monkeypatch):
+        # mixed(400..410, 1, 1) vanishes past i = 4: the head builds C(n, r)
+        # for r <= 4 only, not the whole row of n + 1
+        # the differences D and E reach math.comb through binomial; only the
+        # row C(n, r) calls it directly
+        real, built = math.comb, []
+        monkeypatch.setattr(formulas, "binomial",
+                            lambda a, b: real(a, b) if 0 <= b <= a else 0)
+        monkeypatch.setattr(math, "comb", lambda a, b: built.append((a, b)) or real(a, b))
+        for n in range(400, 411):
+            short_path_seq.cache_clear()
+            built.clear()
+            short_path_seq(n, 1, 1)
+            rows = [b for a, b in built if a == n]
+            assert rows and max(rows) <= formulas._top(n, 1, 1) == 4, n
 
 
 def displayed_power_betti(n, t, i):

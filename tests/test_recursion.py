@@ -360,6 +360,7 @@ class TestCacheHygiene:
 
     def test_clear_caches_empties_every_formulas_memo(self):
         short_path_betti(9, 2, 3, 1)
+        short_path_betti(9, 2, 3, 10)  # past n: the one-entry window's memo
         long_path_betti(9, 3, 1)
         memos = {name: value for name, value in vars(formulas).items()
                  if hasattr(value, "cache_clear")}

@@ -285,16 +285,77 @@ class TestAgreement:
     it with one witness shape: {at, routes, values}."""
 
     def test_main_identity_witness(self, monkeypatch):
-        real = formulas.short_path_betti
+        real = formulas.short_path_seq
 
-        def one_too_high(n, s, t, i):
-            return real(n, s, t, i) + ((n, s, t, i) == (5, 1, 2, 3))
-        monkeypatch.setattr(formulas, "short_path_betti", one_too_high)
+        def one_too_high(n, s, t):
+            seq = list(real(n, s, t))
+            if (n, s, t) == (5, 1, 2):
+                seq[3] += 1
+            return tuple(seq)
+        monkeypatch.setattr(formulas, "short_path_seq", one_too_high)
         reports = {r.case: r for r in run_suite("main-identity")}
         assert [r.case for r in reports.values() if not r.ok] == [
             "main identity recursion==closed n=5 s,t<=8"]
         assert reports["main identity recursion==closed n=5 s,t<=8"].witness == {
             "at": [5, 1, 2, 3], "routes": ["recursion", "closed"], "values": ["25", "26"]}
+
+    def test_main_identity_checks_closed_entries_past_n(self, monkeypatch):
+        real = formulas.short_path_window
+
+        def one_too_high(n, s, t, lo, hi):
+            values = real(n, s, t, lo, hi)
+            if (n, s, t) == (4, 2, 2) and lo <= 6 <= hi:
+                values[6 - lo] += 1
+            return values
+        monkeypatch.setattr(formulas, "short_path_window", one_too_high)
+        failed = [r for r in run_suite("main-identity") if not r.ok]
+        assert [r.case for r in failed] == ["main identity recursion==closed n=4 s,t<=8"]
+        assert failed[0].witness == {
+            "at": [4, 2, 2, 6], "routes": ["recursion", "closed"], "values": ["0", "1"]}
+
+    def test_main_identity_checks_recursion_entries_past_n(self, monkeypatch):
+        real = recursion.mixed_seq
+
+        def one_too_high(n, s, t):
+            seq = list(real(n, s, t))
+            if (n, s, t) == (4, 2, 2):
+                seq += [0] * (7 - len(seq))
+                seq[6] += 1
+            return tuple(seq)
+        monkeypatch.setattr(recursion, "mixed_seq", one_too_high)
+        failed = [r for r in run_suite("main-identity") if not r.ok]
+        assert [r.case for r in failed] == ["main identity recursion==closed n=4 s,t<=8"]
+        assert failed[0].witness == {
+            "at": [4, 2, 2, 6], "routes": ["recursion", "closed"], "values": ["1", "0"]}
+
+    def test_main_identity_compares_every_entry(self, monkeypatch):
+        # entries 0..2(s+t)+2 of every member n <= 12, s, t <= 8, by both
+        # routes: 10,046 lie past n, and the closed route sums the 8,466 of
+        # them up to formulas._top in one window per member
+        real, sizes = verify._member_entries, []
+        window, summed = formulas.short_path_window, []
+
+        def counted(n, s, t, lo, hi):
+            summed.append(max(min(hi, formulas._top(n, s, t)) - lo + 1, 0))
+            return window(n, s, t, lo, hi)
+        monkeypatch.setattr(formulas, "short_path_window", counted)
+
+        def recorded():
+            def wrap(name, route):
+                def entries(n, s, t):
+                    seq = route(n, s, t)
+                    sizes.append((name, n, len(seq)))
+                    return seq
+                return entries
+            return {name: wrap(name, route) for name, route in real().items()}
+        monkeypatch.setattr(verify, "_member_entries", recorded)
+        assert all(report.ok for report in run_suite("main-identity"))
+        for name in ("recursion", "closed"):
+            seen = [(n, size) for route, n, size in sizes if route == name]
+            assert len(seen) == 11 * 9 * 9
+            assert sum(size for _, size in seen) == 16929
+            assert sum(max(size - n - 1, 0) for n, size in seen) == 10046
+        assert len(summed) == 11 * 9 * 9 and sum(summed) == 8466
 
     def test_cross_validate_witness_names_every_route(self, monkeypatch):
         entries = verify.ROUTES["closed"].totals
