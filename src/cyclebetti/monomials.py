@@ -13,10 +13,15 @@ generator, with every exponent in as many bits as the ideal's largest
 exponent needs, several to a 64-bit word (packed exponent vectors, as in
 Bachmann and Schoenemann, ISSAC 1998).  Products and intersections are
 broadcast sums and maxima over the operands' rows; `_minimal_rows` turns
-any candidate rows into the canonical set.
+any candidate rows into the canonical set.  It sorts the candidates by one
+packed key per row: the degree in the top field of the key's first 64-bit
+word and the exponents x1..xn in fields below it, as many to a word as
+fit, so one word comparison (or one lexsort over a few words) is the
+graded order (Monagan and Pearce, CASC 2007).
 """
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -142,25 +147,77 @@ def _divisible(rows: np.ndarray, divisors: np.ndarray) -> np.ndarray:
     return mask
 
 
+@cache
+def _key_layout(columns: int, width: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights that pack a row of `columns` exponents, each below 2^width,
+    into its sort key, with the degree at bit `shift` of the first word.
+
+    `head` (one weight per column) makes the first word: every column adds
+    2^shift, and the first shift // width columns add their own fields
+    below it too.  `tail` (one weight per field, first column highest)
+    makes each later word from its own slice of columns.
+    """
+    tail = np.uint64(1) << _SHIFTS[width][::-1]
+    head = np.full(columns, 1 << shift, dtype=np.uint64)
+    lead = shift // width
+    head[:lead] += tail[len(tail) - lead:]
+    return head, tail
+
+
+def _sort_keys(rows: np.ndarray, top: int) -> tuple[np.ndarray, int]:
+    """(keys, shift): a (words, rows) uint64 array whose columns compare in
+    lexicographic order as the rows do by (degree, x1..xn), and the bit at
+    which the first word holds the degree.
+
+    Each field is as wide as `top`, the largest exponent, needs; the degree
+    field as wide as top * columns needs, which fits 64 bits for fewer than
+    2^33 columns.  No field crosses a word, so the fields are disjoint and
+    the uint64 products carry nothing from one field into the next.
+    """
+    count, columns = rows.shape
+    width = max(top.bit_length(), 1)
+    per_word = 64 // width
+    lead = min((64 - max((top * columns).bit_length(), 1)) // width, columns)
+    head, tail = _key_layout(columns, width, lead * width)
+    wide = rows.astype(np.uint64)
+    full, part = divmod(columns - lead, per_word)
+    keys = np.empty((1 + full + (part > 0), count), dtype=np.uint64)
+    keys[0] = wide @ head
+    if full:
+        body = wide[:, lead:lead + full * per_word].reshape(count, full, per_word)
+        keys[1:1 + full] = (body @ tail).T
+    if part:
+        keys[-1] = wide[:, columns - part:] @ tail[:part]
+    return keys, lead * width
+
+
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     """The canonical minimal generators among candidate exponent rows.
 
-    One lexsort by (degree, x1..xn), then adjacent duplicates go.  A divisor
-    has lower degree than its proper multiples, so each degree group is
-    tested only against the rows already kept below it; a single degree
-    needs no test at all.
+    One sort by packed key (`_sort_keys`): an argsort of one word, or a
+    lexsort of the words when the key needs several.  Then each row with
+    the key of the row before it goes.  A divisor has lower degree than its
+    proper multiples, so each degree group is tested only against the rows
+    already kept below it; a single degree needs no test at all.  Raises
+    ValueError for an exponent past 2^31, minimal or not.
     """
+    top = int(rows.max(initial=0))
+    if top > MAX_EXPONENT:
+        raise ValueError(f"exponent {top} exceeds 2^31")
     if len(rows) < 2:
         return rows
-    degrees = rows.sum(axis=1, dtype=np.int64)
-    order = np.lexsort((*rows.T[::-1], degrees))
-    rows, degrees = rows[order], degrees[order]
+    keys, shift = _sort_keys(rows, top)
+    order = keys[0].argsort() if len(keys) == 1 else np.lexsort(keys[::-1])
+    keys = keys.take(order, axis=1)
     fresh = np.empty(len(rows), dtype=bool)
     fresh[0] = True
-    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
-    rows, degrees = rows[fresh], degrees[fresh]
-    if degrees[0] == degrees[-1]:
+    np.not_equal(keys[0, 1:], keys[0, :-1], out=fresh[1:])
+    if len(keys) > 1:
+        fresh[1:] |= (keys[1:, 1:] != keys[1:, :-1]).any(axis=0)
+    rows = rows[order[fresh]]
+    if int(keys[0, 0]) >> shift == int(keys[0, -1]) >> shift:
         return rows
+    degrees = keys[0, fresh] >> np.uint64(shift)
     cuts = (np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist()
     kept = rows[:cuts[0]]
     for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
@@ -198,10 +255,7 @@ def _candidates(a: np.ndarray, b: np.ndarray, combine) -> np.ndarray:
 def _pack(rows: np.ndarray) -> tuple[int, bytes]:
     """(width, bytes): every exponent in `width` bits, the bit length of the
     largest one, packed 64 // width to a 64-bit word, row after row."""
-    top = int(rows.max(initial=0))
-    if top > MAX_EXPONENT:
-        raise ValueError(f"exponent {top} exceeds 2^31")
-    width = max(top.bit_length(), 1)
+    width = max(int(rows.max(initial=0)).bit_length(), 1)
     shifts = _SHIFTS[width]
     flat = np.zeros(-(-rows.size // len(shifts)) * len(shifts), dtype=np.uint64)
     flat[:rows.size] = rows.ravel()

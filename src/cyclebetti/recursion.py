@@ -114,10 +114,12 @@ def _repack(packed: int, width: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop every cache of this module and of formulas, the module of the
-    t = 0 leaf long_power_seq (results must be unaffected)."""
-    for module in (__name__, long_power_seq.__module__):
-        for value in list(vars(sys.modules[module]).values()):
+    """Drop every cache of this module, of formulas (the module of the t = 0
+    leaf long_power_seq) and of monomials when it is loaded (its sort-key
+    layouts); results must be unaffected."""
+    names = (__name__, long_power_seq.__module__, f"{__package__}.monomials")
+    for module in filter(None, map(sys.modules.get, names)):
+        for value in list(vars(module).values()):
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
 

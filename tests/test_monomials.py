@@ -1,15 +1,19 @@
 import random
+import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cyclebetti import monomials
 from cyclebetti.cli import build_ideal
 from cyclebetti.families import short_path_ideal
 from cyclebetti.monomials import (AmbientMismatchError, CandidateCapError, Monomial,
                                   MonomialIdeal, one, variable)
+from cyclebetti.recursion import clear_caches
 
 
 def mono(*exps):
@@ -342,6 +346,17 @@ class TestExponentWidths:
         with pytest.raises(ValueError, match="exceeds 2"):
             half * MonomialIdeal([Monomial((2**30 + 1,))])
 
+    @pytest.mark.parametrize("rows, top", [
+        ([[2**62, 3], [1, 1]], 2**62),
+        ([[2**31 + 1, 0]], 2**31 + 1),
+        ([[1, 0], [2**31, 2**32]], 2**32),
+    ])
+    def test_candidate_rows_past_exponent_limit(self, rows, top):
+        # the candidates are checked before any key is built, so an exponent
+        # past 2^31 is refused even in a row that a smaller one divides
+        with pytest.raises(ValueError, match=rf"^exponent {top} exceeds 2\^31$"):
+            MonomialIdeal(np.array(rows, dtype=np.uint64))
+
     def test_non_minimal_candidate_past_exponent_limit(self):
         # x1*x2*x3 divides the candidate x1^(2^31+1)*x2*x3, which still refuses
         a = MonomialIdeal([Monomial((0, 1, 0)), Monomial((2**31, 0, 1))])
@@ -355,6 +370,109 @@ class TestExponentWidths:
         for text in ("(x1*x2, x3)", "(x1^300, x2)"):
             with pytest.raises(ValueError):
                 build_ideal(text).matrix()[0, 0] = 7
+
+
+# ---------------------------------------------------------------------------
+# Minimalization by packed sort key against the (n + 1)-key lexsort
+# ---------------------------------------------------------------------------
+
+def ref_minimal_rows(rows):
+    """The lexsort minimalization that the packed sort key replaced: one
+    lexsort by (degree, x1..xn) over n + 1 keys, adjacent duplicate rows
+    dropped, then each degree group tested against the rows kept below it."""
+    if len(rows) < 2:
+        return rows
+    degrees = rows.sum(axis=1, dtype=np.int64)
+    order = np.lexsort((*rows.T[::-1], degrees))
+    rows, degrees = rows[order], degrees[order]
+    fresh = np.empty(len(rows), dtype=bool)
+    fresh[0] = True
+    np.any(rows[1:] != rows[:-1], axis=1, out=fresh[1:])
+    rows, degrees = rows[fresh], degrees[fresh]
+    if degrees[0] == degrees[-1]:
+        return rows
+    cuts = (np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist()
+    kept = rows[:cuts[0]]
+    for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
+        group = rows[lo:hi]
+        kept = np.concatenate((kept, group[~monomials._divisible(group, kept)]))
+    return kept
+
+
+# exponents at the edges of every field width, and 2^31, the largest allowed
+WIDTH_EDGES = sorted({0, 1, 2**31} | {e for k in range(1, 32) for e in (2**k - 1, 2**k)})
+
+
+@st.composite
+def candidate_rows(draw):
+    """Candidate rows of one unsigned dtype and 1-150 columns: mostly zeros
+    and small exponents, some at width edges, with repeated rows and lcms
+    (multiples of two rows each) mixed in."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.uint32, np.uint64]))
+    columns = draw(st.integers(1, 150))
+    edges = [e for e in WIDTH_EDGES if e <= np.iinfo(dtype).max]
+    exponent = st.one_of(st.just(0), st.integers(0, 3), st.sampled_from(edges))
+    rows = draw(arrays(dtype, (draw(st.integers(0, 8)), columns), elements=exponent))
+    if len(rows):
+        picks = st.lists(st.integers(0, len(rows) - 1), max_size=6)
+        first, second, repeats = draw(picks), draw(picks), draw(picks)
+        pairs = min(len(first), len(second))
+        lcms = np.maximum(rows[first[:pairs]], rows[second[:pairs]])
+        rows = np.concatenate((rows, lcms, rows[repeats]))
+        rows = rows[draw(st.permutations(range(len(rows))))]
+    return rows
+
+
+class TestSortKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(candidate_rows())
+    def test_equals_the_lexsort_reference(self, rows):
+        got, want = monomials._minimal_rows(rows), ref_minimal_rows(rows)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("columns, top, words", [
+        (58, 1, 1),      # 58 one-bit fields and a 6-bit degree fill 64 bits
+        (59, 1, 2),      # 59 fields and a 6-bit degree: one bit into a second word
+        (29, 2, 1),      # 29 two-bit fields and a 6-bit degree fill 64 bits
+        (1, 2**31, 1),   # one 32-bit field and a 32-bit degree fill 64 bits
+        (2, 2**31, 2),   # a 33-bit degree leaves no field in the first word
+    ])
+    def test_keys_at_the_word_edge(self, columns, top, words):
+        # the rows with every exponent at top reach the largest degree the
+        # layout allows for, top * columns, so the degree field is full width
+        rows = [[top if v == u else 0 for v in range(columns)] for u in range(columns)]
+        rows += [[top] * columns, [top] * columns]
+        rows += [[top if v == u else int(v == (u + 1) % columns) for v in range(columns)]
+                 for u in range(columns)]
+        rows += [[0] * (columns - 1) + [top]]
+        rows = np.array(rows, dtype=np.uint64 if top > 2**16 else np.uint8)
+        keys, _ = monomials._sort_keys(rows, top)
+        assert len(keys) == words
+        got, want = monomials._minimal_rows(rows), ref_minimal_rows(rows)
+        assert got.tolist() == want.tolist()
+        assert got.tolist() == [list(e) for e in reference_minimal(map(tuple, rows.tolist()))]
+
+    def test_layouts_are_dropped_with_the_other_caches(self):
+        short_path_ideal(6) ** 2
+        assert monomials._key_layout.cache_info().currsize
+        clear_caches()
+        assert not monomials._key_layout.cache_info().currsize
+
+    def test_wide_ring(self):
+        # 3,000,000 columns: the key's weights and words grow with the columns
+        # and the rows, not with their product
+        columns = 3_000_000
+        rows = np.zeros((3, columns), dtype=np.uint8)
+        rows[0, 0] = rows[1, -1] = rows[2, 0] = 1
+        tracemalloc.start()
+        try:
+            kept = monomials._minimal_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [np.flatnonzero(row).tolist() for row in kept] == [[columns - 1], [0]]
+        assert peak < 256 * 2**20
 
 
 class TestCandidateCap:
